@@ -87,11 +87,11 @@ def attribute_by_context(
     non-gendered pronoun or an unlisted name leaves the occurrence
     unattributed rather than continuing leftward.
     """
-    tokens = sentence.tokens
+    tags, surfaces = sentence.tags, sentence.surfaces
     for i in range(match.start - 1, -1, -1):
-        pos = tokens[i].pos
+        pos = tags[i]
         if pos == PRONOUN:
-            return pronouns.get(tokens[i].surface.lower(), Gender.UNKNOWN)
+            return pronouns.get(surfaces[i].lower(), Gender.UNKNOWN)
         if pos == PROPER_NOUN:
-            return guess_gender(tokens[i].surface.lower(), lexicon)
+            return guess_gender(surfaces[i].lower(), lexicon)
     return Gender.UNKNOWN

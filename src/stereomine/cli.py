@@ -26,7 +26,7 @@ from .attribution import (
     attribute_by_author,
     attribute_by_context,
 )
-from .config import CONFIG_KEYS, RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
 from .corpus_io import (
     DocumentRecord,
     EnglishFilterConfig,
@@ -39,7 +39,7 @@ from .corpus_io import (
     parse_tweet_stream,
     passes_english_filter,
 )
-from .errors import ConfigError, CorpusFormatError, DegenerateDataError
+from .errors import ConfigError, CorpusFormatError, DegenerateDataError, open_text
 from .evaluation import (
     aggregate_gold,
     evaluate_method,
@@ -191,7 +191,7 @@ def _score_tweets(config: RunConfig, actions, lexicon, phrase_texts):
 
     occurrences: list[GenderedOccurrence] = []
     records_read = filtered = author_unknown = matches_total = 0
-    with open(config.tweet_corpus, encoding="utf-8") as fh:
+    with open_text(config.tweet_corpus) as fh:
         for record in parse_tweet_stream(fh, tag_map, path=str(config.tweet_corpus)):
             records_read += 1
             if not passes_english_filter(record, english):
@@ -227,7 +227,7 @@ def _score_documents(config: RunConfig, actions, lexicon, phrase_texts):
 
     occurrences: list[GenderedOccurrence] = []
     records_read = sentences_read = matches_total = unattributed = 0
-    with open(config.document_corpus, encoding="utf-8") as fh:
+    with open_text(config.document_corpus) as fh:
         if config.document_format == "plain":
             records = (
                 DocumentRecord(record_id=f"line{i}", sentences=(sentence,))
@@ -344,7 +344,7 @@ def cmd_evaluate(
 
     tables = []
     for p in score_paths:
-        with open(p, encoding="utf-8") as fh:
+        with open_text(p) as fh:
             scores, texts = parse_score_table(fh, path=str(p))
         predictions = {s.phrase_id: s.z for s in scores if s.z is not None}
         tables.append((p.stem, predictions, texts))
@@ -403,9 +403,9 @@ def cmd_evaluate(
 
 def _load_probes(path: Path) -> list[tuple[str, ...]]:
     probes = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
-            line = line.split("#", 1)[0].strip()
+            line = strip_comment(line)
             if line:
                 probes.append(tuple(line.lower().split()))
     return probes
@@ -422,7 +422,7 @@ def cmd_sanity(config: RunConfig, probes_path: Path) -> int:
 
     lexicon = load_name_lexicon(config.male_names, config.female_names)
     tag_map = _tag_map(config)
-    with open(config.tweet_corpus, encoding="utf-8") as fh:
+    with open_text(config.tweet_corpus) as fh:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = sanity_proportions(
@@ -456,7 +456,7 @@ def cmd_merge_counts(config: RunConfig, counts_paths: list[Path], out_stem: str)
     for p in counts_paths:
         if not p.is_file():
             raise ConfigError(f"no such file: {p}")
-        with open(p, encoding="utf-8") as fh:
+        with open_text(p) as fh:
             counts, texts = parse_counts_table(fh, path=str(p))
         partials.append(counts)
         for pid, text in texts.items():
@@ -542,15 +542,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sanity":
             return cmd_sanity(config, args.probes)
         return cmd_merge_counts(config, args.counts, args.out_stem)
-    except (ConfigError, CorpusFormatError) as exc:
+    except (ConfigError, CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DegenerateDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

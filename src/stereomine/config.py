@@ -7,11 +7,12 @@ in the file are resolved relative to the file's directory.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -96,17 +97,24 @@ _PATH_KEYS = {
 }
 
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
+def strip_comment(line: str) -> str:
+    """Strip a line and its comment: a '#' at the start or after whitespace."""
+    return _COMMENT.sub("", line, count=1).strip()
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment, blanks skipped."""
+    """Read ``key = value`` lines; comments as in ``strip_comment``, blanks skipped."""
     values: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        with open_text(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
         if "=" not in line:

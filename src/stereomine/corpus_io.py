@@ -17,10 +17,10 @@ which is lowercased here.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, CorpusFormatError
+from .errors import ConfigError, CorpusFormatError, open_text
 
 VERB = "VERB"
 PRONOUN = "PRONOUN"
@@ -47,10 +47,20 @@ class AnnotatedToken:
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
-    tokens: tuple[AnnotatedToken, ...]
+    """Parallel columns of surfaces, coarse POS tags and lowercased
+    lemmas; the parsers validate the lemmas, the constructor does not."""
+
+    surfaces: tuple[str, ...]
+    tags: tuple[str, ...]
+    lemmata: tuple[str, ...]
 
     def lemmas(self) -> tuple[str, ...]:
-        return tuple(t.lemma for t in self.tokens)
+        return self.lemmata
+
+    @property
+    def tokens(self) -> tuple[AnnotatedToken, ...]:
+        """Row view of the columns, built on every call."""
+        return tuple(map(AnnotatedToken, self.surfaces, self.lemmata, self.tags))
 
 
 @dataclass(frozen=True)
@@ -130,14 +140,14 @@ def parse_tag_map(lines: Iterable[str], path=None) -> dict[str, str]:
 
 
 def load_tag_map(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_tag_map(fh, path=path)
 
 
 def load_wordlist(path) -> frozenset[str]:
     """Read a one-word-per-line list, lowercased."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             word = line.strip().lower()
             if word:
@@ -155,19 +165,6 @@ def default_wordlist() -> frozenset[str]:
         .read_text(encoding="utf-8")
     )
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
-
-
-def coarse_tag(fine: str, tag_map: dict[str, str]) -> str:
-    return tag_map.get(fine, OTHER)
-
-
-def _make_token(surface: str, fine_pos: str, lemma: str, tag_map, line_no, path) -> AnnotatedToken:
-    lemma = lemma.strip().lower()
-    if not lemma or any(c.isspace() for c in lemma):
-        raise CorpusFormatError(
-            f"bad lemma {lemma!r} for surface {surface!r}", line_no=line_no, path=path
-        )
-    return AnnotatedToken(surface=surface, lemma=lemma, pos=coarse_tag(fine_pos, tag_map))
 
 
 def parse_document_stream(
@@ -210,25 +207,20 @@ def parse_document_records(
 
 def _parse_vertical(lines, tag_map, path):
     """Yield (doc_id, Sentence) pairs; doc_id is None before any #doc line."""
-    if tag_map is None:
-        tag_map = default_tag_map()
-    doc_id: str | None = None
-    pending: list[AnnotatedToken] = []
-    pending_doc: str | None = None
+    tag_of = (default_tag_map() if tag_map is None else tag_map).get
+    doc_id = pending_doc = None
+    surfaces, tags, lemmas = [], [], []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
-        if line.startswith("#doc"):
-            if pending:
-                yield pending_doc, Sentence(tokens=tuple(pending))
-                pending = []
-            doc_id = line[len("#doc") :].strip()
-            if not doc_id:
-                raise CorpusFormatError("#doc line without an id", line_no=line_no, path=path)
-            continue
-        if not line.strip():
-            if pending:
-                yield pending_doc, Sentence(tokens=tuple(pending))
-                pending = []
+        is_doc = line.startswith("#doc")
+        if is_doc or not line.strip():
+            if surfaces:
+                yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
+                surfaces, tags, lemmas = [], [], []
+            if is_doc:
+                doc_id = line[len("#doc") :].strip()
+                if not doc_id:
+                    raise CorpusFormatError("#doc line without an id", line_no=line_no, path=path)
             continue
         parts = line.split("\t")
         if len(parts) != 3:
@@ -237,11 +229,19 @@ def _parse_vertical(lines, tag_map, path):
                 line_no=line_no,
                 path=path,
             )
-        if not pending:
+        surface, fine, lemma = parts
+        lemma = lemma.strip().lower()
+        if len(lemma.split()) != 1:  # empty, or whitespace inside
+            raise CorpusFormatError(
+                f"bad lemma {lemma!r} for surface {surface!r}", line_no=line_no, path=path
+            )
+        if not surfaces:
             pending_doc = doc_id
-        pending.append(_make_token(parts[0], parts[1], parts[2], tag_map, line_no, path))
-    if pending:
-        yield pending_doc, Sentence(tokens=tuple(pending))
+        surfaces.append(surface)
+        tags.append(tag_of(fine, OTHER))
+        lemmas.append(lemma)
+    if surfaces:
+        yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
 
 
 def parse_plain_stream(lines: Iterable[str], path=None) -> Iterator[Sentence]:
@@ -256,17 +256,16 @@ def parse_plain_stream(lines: Iterable[str], path=None) -> Iterator[Sentence]:
         line = line.rstrip("\n")
         if line.startswith("#doc") or not line.strip():
             continue
-        tokens = tuple(
-            AnnotatedToken(surface=w, lemma=w.lower(), pos=OTHER) for w in line.split()
-        )
-        yield Sentence(tokens=tokens)
+        words = tuple(line.split())
+        yield Sentence(words, (OTHER,) * len(words), tuple(w.lower() for w in words))
 
 
 def format_sentence(sentence: Sentence) -> str:
     """Serialize a sentence back to vertical format (coarse tags in the
     POS column; re-parsing with a map that carries the identity entries
     reproduces the sentence exactly)."""
-    return "\n".join(f"{t.surface}\t{t.pos}\t{t.lemma}" for t in sentence.tokens) + "\n"
+    columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
+    return "\n".join(f"{s}\t{p}\t{l}" for s, p, l in columns) + "\n"
 
 
 def parse_tweet_stream(
@@ -278,8 +277,7 @@ def parse_tweet_stream(
     the name field, lowercased.  Record ids must be unique within the
     file.
     """
-    if tag_map is None:
-        tag_map = default_tag_map()
+    tag_of = (default_tag_map() if tag_map is None else tag_map).get
     seen_ids: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -301,21 +299,29 @@ def parse_tweet_stream(
         name_words = author_name.split()
         first_name = name_words[0].lower() if name_words else ""
         sentences: list[Sentence] = []
-        tokens: list[AnnotatedToken] = []
+        surfaces, tags, lemmas = [], [], []
         for chunk in text.split():
             if chunk == SENTENCE_BREAK:
-                if tokens:
-                    sentences.append(Sentence(tokens=tuple(tokens)))
-                    tokens = []
+                if surfaces:
+                    sentences.append(Sentence(tuple(surfaces), tuple(tags), tuple(lemmas)))
+                    surfaces, tags, lemmas = [], [], []
                 continue
             fields = chunk.rsplit("|", 2)
             if len(fields) != 3:
                 raise CorpusFormatError(
                     f"token {chunk!r} is not surface|pos|lemma", line_no=line_no, path=path
                 )
-            tokens.append(_make_token(fields[0], fields[1], fields[2], tag_map, line_no, path))
-        if tokens:
-            sentences.append(Sentence(tokens=tuple(tokens)))
+            surface, fine, lemma = fields
+            lemma = lemma.lower()
+            if not lemma:  # text.split() left no whitespace in the chunk
+                raise CorpusFormatError(
+                    f"bad lemma {lemma!r} for surface {surface!r}", line_no=line_no, path=path
+                )
+            surfaces.append(surface)
+            tags.append(tag_of(fine, OTHER))
+            lemmas.append(lemma)
+        if surfaces:
+            sentences.append(Sentence(tuple(surfaces), tuple(tags), tuple(lemmas)))
         yield TweetRecord(
             record_id=record_id,
             author_name=author_name,
@@ -330,7 +336,8 @@ def format_tweet_record(record: TweetRecord) -> str:
     for i, sentence in enumerate(record.sentences):
         if i:
             chunks.append(SENTENCE_BREAK)
-        chunks.extend(f"{t.surface}|{t.pos}|{t.lemma}" for t in sentence.tokens)
+        columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
+        chunks.extend(f"{s}|{p}|{l}" for s, p, l in columns)
     return f"{record.record_id}\t{record.author_name}\t{' '.join(chunks)}\n"
 
 
@@ -344,11 +351,11 @@ def passes_english_filter(record: TweetRecord, config: EnglishFilterConfig) -> b
     total = 0
     unknown = 0
     for sentence in record.sentences:
-        for token in sentence.tokens:
-            if not token.surface.isalpha():
+        for surface in sentence.surfaces:
+            if not surface.isalpha():
                 continue
             total += 1
-            if token.surface.lower() not in config.wordlist:
+            if surface.lower() not in config.wordlist:
                 unknown += 1
     if total == 0:
         return True

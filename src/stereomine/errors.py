@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: configuration and input-format
 problems exit 1, degenerate-data conditions exit 2.
 """
 
+from contextlib import contextmanager
+
 
 class StereomineError(Exception):
     """Base class for all toolkit errors."""
@@ -25,6 +27,16 @@ class CorpusFormatError(StereomineError):
         if line_no is not None:
             where += f"{line_no}:"
         super().__init__(f"{where} {message}" if where else message)
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 file for reading; undecodable bytes raise CorpusFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"not valid UTF-8 ({exc.reason})", path=path) from None
 
 
 class DegenerateDataError(StereomineError):

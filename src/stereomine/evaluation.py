@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus_io import TweetRecord
-from .errors import CorpusFormatError, DegenerateDataError
+from .errors import CorpusFormatError, DegenerateDataError, open_text
 from .lexicons import ActionPhrase, Gender, NameGenderLexicon, guess_gender
 from .matcher import compile_phrases, find_matches
 
@@ -108,7 +108,7 @@ def parse_ratings(lines: Iterable[str], path=None) -> list[RawRating]:
 
 
 def load_ratings(path) -> list[RawRating]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_ratings(fh, path=path)
 
 
@@ -439,7 +439,7 @@ def parse_gold(lines: Iterable[str], path=None) -> list[GoldRating]:
 
 
 def load_gold(path) -> list[GoldRating]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_gold(fh, path=path)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .corpus_io import VERB
-from .errors import ConfigError, CorpusFormatError
+from .errors import ConfigError, CorpusFormatError, open_text
 
 
 class Gender(enum.Enum):
@@ -59,7 +59,7 @@ class ActionPhrase:
 def read_name_list(path) -> dict[str, int | None]:
     """Names (optionally ``name<TAB>count``) in file order, lowercased."""
     names: dict[str, int | None] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -128,7 +128,7 @@ def load_tag_counts(path, tag_map: Mapping[str, str] | None = None) -> dict[str,
     applied later, only to decide which tags are verb tags.
     """
     counts: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -192,7 +192,7 @@ def build_verb_lexicon(
 
 def load_concepts(path) -> Iterator[tuple[str, str]]:
     """Yield (concept_id, concept_text) pairs from a TSV file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):

@@ -40,7 +40,7 @@ from stereomine.scoring import (
 )
 
 import derive_expected
-from util import phrase, read_manifest, sent, tok
+from util import phrase, read_manifest, sent, sent_of, tok
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = FIXTURES / "expected"
@@ -159,12 +159,6 @@ def test_gap_example_fidelity():
         ok,
         f"adjacent={got_adj}, one-gap={got_gap}, two-gap={got_two}",
     )
-
-
-def sent_of(tokens):
-    from stereomine.corpus_io import Sentence
-
-    return Sentence(tokens=tuple(tokens))
 
 
 # --- bias score ----------------------------------------------------------------

@@ -12,19 +12,18 @@ from stereomine.corpus_io import (
     EnglishFilterConfig,
     PRONOUN,
     PROPER_NOUN,
-    Sentence,
     load_wordlist,
     passes_english_filter,
 )
 from stereomine.lexicons import Gender
 from stereomine.matcher import Match, compile_phrases, find_matches
 
-from util import phrase, sent, tok
+from util import phrase, sent, sent_of, tok
 
 
 def named_sent(*pairs):
     """pairs of (surface, pos); lemma is the lowercased surface."""
-    return Sentence(tokens=tuple(tok(s, pos=p) for s, p in pairs))
+    return sent_of(tok(s, pos=p) for s, p in pairs)
 
 
 def first_match(sentence, text):
@@ -132,8 +131,8 @@ def test_context_ignores_tokens_right_of_match(name_lexicon):
         ("Mary", PROPER_NOUN), ("make", "OTHER"), ("a", "OTHER"), ("doll", "OTHER")
     )
     m = first_match(base, "make doll")
-    poisoned = Sentence(
-        tokens=base.tokens[: m.start] + tuple(
+    poisoned = sent_of(
+        base.tokens[: m.start] + tuple(
             tok(s, pos=PROPER_NOUN) for s in ("John",) * (len(base.tokens) - m.start)
         )
     )

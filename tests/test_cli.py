@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,6 +372,30 @@ def test_malformed_corpus_fails_before_any_output(tmp_path, lexdir, capsys):
     rc = main(score_args("tweet", out, lexdir, "--tweet-corpus", str(corpus)))
     assert rc == 1
     assert "broken.tsv:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["score", "--kind", "tweet"], "--tweet-corpus"),
+        (["score", "--kind", "document"], "--document-corpus"),
+        (["build-lexicons"], "--male-names"),
+    ],
+    ids=["tweet", "document", "build-lexicons"],
+)
+def test_non_utf8_input_is_reported_without_traceback(tmp_path, lexdir, command, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"mary\n\xffjohn\n")
+    out = tmp_path / "out"
+    argv = [*command, "--config", CFG, "--lexicon-dir", str(lexdir), "--output-dir", str(out),
+            flag, str(bad)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "stereomine.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: {bad}: ")
+    assert "Traceback" not in done.stderr
     assert not out.exists()
 
 

@@ -34,6 +34,14 @@ def test_parse_config_file(tmp_path):
     }
 
 
+def test_hash_inside_value_is_not_a_comment(tmp_path):
+    (tmp_path / "corpus#2.tsv").write_text("", encoding="utf-8")
+    path = write_cfg(tmp_path, "tweet_corpus = corpus#2.tsv # the second corpus\n")
+    config = load_config(path, {})
+    assert config.tweet_corpus == tmp_path / "corpus#2.tsv"
+    assert config.tweet_corpus.is_file()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write_cfg(tmp_path, "bogus = 1\n")
     with pytest.raises(ConfigError) as exc:

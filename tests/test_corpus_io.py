@@ -10,8 +10,6 @@ from stereomine.corpus_io import (
     VERB,
     AnnotatedToken,
     EnglishFilterConfig,
-    Sentence,
-    coarse_tag,
     default_tag_map,
     default_wordlist,
     format_sentence,
@@ -26,7 +24,7 @@ from stereomine.corpus_io import (
 )
 from stereomine.errors import ConfigError, CorpusFormatError
 
-from util import sent, tok
+from util import sent
 
 
 # --- tokens and tags -------------------------------------------------------
@@ -46,15 +44,10 @@ def test_token_rejects_fine_pos():
 
 
 def test_default_tag_map_covers_the_usual_suspects(tag_map):
-    assert coarse_tag("VV", tag_map) == VERB
-    assert coarse_tag("VBD", tag_map) == VERB
-    assert coarse_tag("PP", tag_map) == PRONOUN
-    assert coarse_tag("PRP$", tag_map) == PRONOUN
-    assert coarse_tag("NP", tag_map) == PROPER_NOUN
-    assert coarse_tag("NNPS", tag_map) == PROPER_NOUN
-    # modals deliberately stay OTHER
-    assert coarse_tag("MD", tag_map) == OTHER
-    assert coarse_tag("XYZZY", tag_map) == OTHER
+    fine = ["VV", "VBD", "PP", "PRP$", "NP", "NNPS", "MD", "XYZZY"]
+    (sentence,) = parse_document_stream([f"w\t{t}\tw" for t in fine], tag_map)
+    # modals deliberately stay OTHER; unknown tags fall back to OTHER
+    assert sentence.tags == (VERB, VERB, PRONOUN, PRONOUN, PROPER_NOUN, PROPER_NOUN, OTHER, OTHER)
 
 
 def test_tag_map_identity_entries(tag_map):
@@ -84,10 +77,11 @@ def test_parse_tag_map_rejects_empty():
 def test_small_vertical_sentences(fixtures, tag_map):
     with open(fixtures / "small.vert", encoding="utf-8") as fh:
         sentences = list(parse_document_stream(fh, tag_map))
-    assert [len(s.tokens) for s in sentences] == [4, 5, 3]
-    schools = sentences[0].tokens[1]
-    assert (schools.surface, schools.lemma, schools.pos) == ("schools", "school", OTHER)
-    assert sentences[1].tokens[0].pos == PROPER_NOUN
+    assert [len(s.lemmas()) for s in sentences] == [4, 5, 3]
+    first = sentences[0]
+    assert (first.surfaces[1], first.lemmata[1], first.tags[1]) == ("schools", "school", OTHER)
+    assert first.tokens[1] == AnnotatedToken(surface="schools", lemma="school", pos=OTHER)
+    assert sentences[1].tags[0] == PROPER_NOUN
     assert sentences[2].lemmas() == ("he", "sleep", "now")
 
 
@@ -119,6 +113,21 @@ def test_vertical_bad_arity_reports_location(tag_map):
     assert "d.vert:2:" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "parse, lines, lemma",
+    [
+        (parse_tweet_stream, ["t0\tA\tok|NN|ok", "t1\tA\tx|NN|"], ""),
+        (parse_document_stream, ["ok\tNN\tok", "x\tNN\t  "], ""),
+        (parse_document_stream, ["ok\tNN\tok", "x\tNN\ta\u2003b"], "a\u2003b"),
+    ],
+    ids=["tweet-empty", "vertical-blank", "vertical-unicode-space"],
+)
+def test_parsers_reject_bad_lemma(tag_map, parse, lines, lemma):
+    with pytest.raises(CorpusFormatError) as exc:
+        list(parse(lines, tag_map, path="c.txt"))
+    assert str(exc.value) == f"c.txt:2: bad lemma {lemma!r} for surface 'x'"
+
+
 def test_vertical_round_trip(doc_records, tag_map):
     for record in doc_records:
         for sentence in record.sentences:
@@ -135,8 +144,8 @@ def test_plain_stream_identity_lemmas():
     sentences = list(parse_plain_stream(["Hello World", "", "#doc x", "one"]))
     assert len(sentences) == 2
     assert sentences[0].lemmas() == ("hello", "world")
-    assert all(t.pos == OTHER for t in sentences[0].tokens)
-    assert sentences[0].tokens[0].surface == "Hello"
+    assert sentences[0].tags == (OTHER, OTHER)
+    assert sentences[0].surfaces == ("Hello", "World")
 
 
 # --- tweet records ---------------------------------------------------------
@@ -172,8 +181,8 @@ def test_tweet_surface_may_contain_pipes():
     # the token chunk splits on the last two pipes only, so emoticon
     # surfaces like :-| survive
     (record,) = parse_tweet_stream(["t1\tX\t:-||NN|pipeface"])
-    token = record.sentences[0].tokens[0]
-    assert (token.surface, token.pos, token.lemma) == (":-|", OTHER, "pipeface")
+    (sentence,) = record.sentences
+    assert (sentence.surfaces, sentence.tags, sentence.lemmata) == ((":-|",), (OTHER,), ("pipeface",))
 
 
 def test_tweet_duplicate_record_id():
@@ -224,8 +233,7 @@ WORDS = frozenset({"i", "feel", "good", "and", "the"})
 
 
 def _record(*surfaces):
-    sentence = Sentence(tokens=tuple(tok(s) for s in surfaces))
-    return parse_tweet_stream(["t1\tA\t" + " ".join(f"{t.surface}|NN|{t.lemma}" for t in sentence.tokens)]).__next__()
+    return parse_tweet_stream(["t1\tA\t" + " ".join(f"{s}|NN|{s.lower()}" for s in surfaces)]).__next__()
 
 
 def test_filter_boundary_is_inclusive():
@@ -285,4 +293,4 @@ def test_default_wordlist_is_lowercase():
 
 def test_sentence_lemmas():
     assert sent("a", "b").lemmas() == ("a", "b")
-    assert Sentence(tokens=()).lemmas() == ()
+    assert sent().lemmas() == ()

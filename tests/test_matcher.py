@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stereomine import matcher
-from stereomine.corpus_io import PRONOUN, Sentence
+from stereomine.corpus_io import PRONOUN
 from stereomine.errors import ConfigError
 from stereomine.lexicons import ActionPhrase
 from stereomine.matcher import (
@@ -16,7 +16,7 @@ from stereomine.matcher import (
 from stereomine.matcher import _pymatch
 
 import derive_expected as oracle
-from util import brute_all, phrase, sent, tok
+from util import brute_all, phrase, sent, sent_of, tok
 
 
 def matches_of(sentence, *phrases):
@@ -98,7 +98,7 @@ def test_duplicate_sequences_all_reported():
 
 
 def test_empty_sentence():
-    assert matches_of(Sentence(tokens=()), phrase("a b")) == []
+    assert matches_of(sent(), phrase("a b")) == []
 
 
 def test_out_of_vocabulary_sentence():
@@ -107,9 +107,7 @@ def test_out_of_vocabulary_sentence():
 
 def test_pos_is_ignored():
     plain = sent("he", "goes", "home")
-    tagged = Sentence(
-        tokens=(tok("he", pos=PRONOUN), tok("goes", lemma="goes"), tok("home"))
-    )
+    tagged = sent_of((tok("he", pos=PRONOUN), tok("goes", lemma="goes"), tok("home")))
     automaton = compile_phrases([phrase("he goes")])
     assert spans(find_matches(plain, automaton)) == spans(find_matches(tagged, automaton))
 

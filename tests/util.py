@@ -15,9 +15,19 @@ def tok(surface: str, pos: str = OTHER, lemma: str | None = None) -> AnnotatedTo
     )
 
 
+def sent_of(tokens) -> Sentence:
+    """Sentence whose columns are read off the given tokens."""
+    tokens = tuple(tokens)
+    return Sentence(
+        surfaces=tuple(t.surface for t in tokens),
+        tags=tuple(t.pos for t in tokens),
+        lemmata=tuple(t.lemma for t in tokens),
+    )
+
+
 def sent(*lemmas: str) -> Sentence:
     """Sentence whose surfaces equal the given lemmas, all tagged OTHER."""
-    return Sentence(tokens=tuple(tok(lemma) for lemma in lemmas))
+    return sent_of(tok(lemma) for lemma in lemmas)
 
 
 def phrase(text: str, pid: str | None = None) -> ActionPhrase:
