@@ -12,6 +12,7 @@ data.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
@@ -23,7 +24,6 @@ from .attribution import (
     EXTENDED_PRONOUNS,
     GenderedOccurrence,
     Source,
-    attribute_by_author,
     attribute_by_context,
 )
 from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
@@ -74,6 +74,7 @@ from .scoring import (
     parse_score_table,
     score_counts,
 )
+from .shards import open_range, run_forked, shard_count, split_ranges
 
 ACTIONS_HEADER = "# phrase_id\tphrase_text"
 
@@ -180,7 +181,10 @@ def cmd_build_lexicons(config: RunConfig) -> int:
     return 0
 
 
-def _score_tweets(config: RunConfig, actions, lexicon, phrase_texts):
+def _score_tweets(config: RunConfig, actions, lexicon):
+    """The tweet corpus, the prefix a shard cut must precede (any line
+    start), and a function scoring lines of the corpus into per-phrase
+    counts, manifest counters and the record ids it saw."""
     config.require("tweet_corpus")
     _check_optional_paths(config, "tag_map", "wordlist")
     tag_map = _tag_map(config)
@@ -188,87 +192,138 @@ def _score_tweets(config: RunConfig, actions, lexicon, phrase_texts):
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
     )
     automaton = compile_phrases(actions) if actions else None
+    path = str(config.tweet_corpus)
 
-    occurrences: list[GenderedOccurrence] = []
-    records_read = filtered = author_unknown = matches_total = 0
-    with open_text(config.tweet_corpus) as fh:
-        for record in parse_tweet_stream(fh, tag_map, path=str(config.tweet_corpus)):
-            records_read += 1
-            if not passes_english_filter(record, english):
-                filtered += 1
-                continue
-            if guess_gender(record.author_first_name, lexicon) is Gender.UNKNOWN:
-                author_unknown += 1
-            matches = []
-            if automaton is not None:
+    def score_lines(lines):
+        ids: set[str] = set()
+        stats: dict[str, int] = {}
+
+        def occurrences():
+            records_read = filtered = author_unknown = matches_total = attributed = 0
+            for record in parse_tweet_stream(lines, tag_map, path=path):
+                records_read += 1
+                ids.add(record.record_id)
+                if not passes_english_filter(record, english):
+                    filtered += 1
+                    continue
+                gender = guess_gender(record.author_first_name, lexicon)
+                if gender is Gender.UNKNOWN:
+                    author_unknown += 1
+                if automaton is None:
+                    continue
                 for i, sentence in enumerate(record.sentences):
-                    matches.extend(find_matches(sentence, automaton, sentence_ref=i))
-            matches_total += len(matches)
-            occurrences.extend(attribute_by_author(record, matches, lexicon))
+                    matches = find_matches(sentence, automaton, sentence_ref=i)
+                    matches_total += len(matches)
+                    if gender is Gender.UNKNOWN:
+                        continue
+                    attributed += len(matches)
+                    for match in matches:
+                        yield GenderedOccurrence(
+                            phrase_id=match.phrase_id,
+                            gender=gender,
+                            source=Source.AUTHOR_METADATA,
+                            record_id=record.record_id,
+                        )
+            stats.update(
+                records_read=records_read,
+                records_failed_english_filter=filtered,
+                records_kept=records_read - filtered,
+                records_author_unknown=author_unknown,
+                matches_total=matches_total,
+                occurrences_attributed=attributed,
+            )
 
-    stage_counts = [
-        ("corpus", str(config.tweet_corpus)),
-        ("records_read", records_read),
-        ("records_failed_english_filter", filtered),
-        ("records_kept", records_read - filtered),
-        ("records_author_unknown", author_unknown),
-        ("matches_total", matches_total),
-        ("occurrences_attributed", len(occurrences)),
-    ]
-    return occurrences, stage_counts
+        counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
+        return counts, stats, ids
+
+    return config.tweet_corpus, b"", score_lines
 
 
-def _score_documents(config: RunConfig, actions, lexicon, phrase_texts):
+def _score_documents(config: RunConfig, actions, lexicon):
+    """As ``_score_tweets`` for the document corpus; a vertical file is
+    cut only before a ``#doc`` line, so a document stays in one shard."""
     config.require("document_corpus")
     _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
     automaton = compile_phrases(actions) if actions else None
+    path = str(config.document_corpus)
+    plain = config.document_format == "plain"
 
-    occurrences: list[GenderedOccurrence] = []
-    records_read = sentences_read = matches_total = unattributed = 0
-    with open_text(config.document_corpus) as fh:
-        if config.document_format == "plain":
+    def score_lines(lines):
+        ids: set[str] = set()
+        stats: dict[str, int] = {}
+        if plain:
             records = (
                 DocumentRecord(record_id=f"line{i}", sentences=(sentence,))
-                for i, sentence in enumerate(
-                    parse_plain_stream(fh, path=str(config.document_corpus)), start=1
-                )
+                for i, sentence in enumerate(parse_plain_stream(lines, path=path), start=1)
             )
         else:
-            records = parse_document_records(
-                fh, tag_map, path=str(config.document_corpus)
-            )
-        for record in records:
-            records_read += 1
-            for i, sentence in enumerate(record.sentences):
-                sentences_read += 1
-                if automaton is None:
-                    continue
-                for match in find_matches(sentence, automaton, sentence_ref=i):
-                    matches_total += 1
-                    gender = attribute_by_context(sentence, match, lexicon, pronouns)
-                    if gender is Gender.UNKNOWN:
-                        unattributed += 1
+            records = parse_document_records(lines, tag_map, path=path)
+
+        def occurrences():
+            records_read = sentences_read = matches_total = unattributed = attributed = 0
+            for record in records:
+                records_read += 1
+                if not plain:  # a plain id numbers a line within its shard, never a repeat
+                    ids.add(record.record_id)
+                for i, sentence in enumerate(record.sentences):
+                    sentences_read += 1
+                    if automaton is None:
                         continue
-                    occurrences.append(
-                        GenderedOccurrence(
+                    for match in find_matches(sentence, automaton, sentence_ref=i):
+                        matches_total += 1
+                        gender = attribute_by_context(sentence, match, lexicon, pronouns)
+                        if gender is Gender.UNKNOWN:
+                            unattributed += 1
+                            continue
+                        attributed += 1
+                        yield GenderedOccurrence(
                             phrase_id=match.phrase_id,
                             gender=gender,
                             source=Source.CONTEXT_HEURISTIC,
                             record_id=record.record_id,
                         )
-                    )
+            stats.update(
+                records_read=records_read,
+                sentences_read=sentences_read,
+                matches_total=matches_total,
+                matches_unattributed=unattributed,
+                occurrences_attributed=attributed,
+            )
 
-    stage_counts = [
-        ("corpus", str(config.document_corpus)),
-        ("records_read", records_read),
-        ("sentences_read", sentences_read),
-        ("matches_total", matches_total),
-        ("matches_unattributed", unattributed),
-        ("occurrences_attributed", len(occurrences)),
-    ]
-    return occurrences, stage_counts
+        counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
+        return counts, stats, ids
+
+    return config.document_corpus, b"" if plain else b"#doc", score_lines
+
+
+def _score_shards(corpus: Path, record_prefix: bytes, score_lines):
+    """``score_lines`` over the corpus split into shards, one per usable
+    core; returns the merged counts, their scoring context and the summed
+    manifest counters.  If a shard fails, or a record id turns up in two
+    shards, the whole file is scored again in this process: that run
+    raises the error at its line and lets the first occurrence of a
+    repeated id win, as a single pass over the file does."""
+    results = None
+    ranges = split_ranges(corpus, shard_count(corpus), record_prefix)
+    if len(ranges) > 1:
+
+        def work(start, end):
+            with open_range(corpus, start, end) as lines:
+                return score_lines(lines)
+
+        results = run_forked(work, ranges)
+        if results is not None and not all(
+            a.isdisjoint(b) for (_, _, a), (_, _, b) in itertools.combinations(results, 2)
+        ):
+            results = None
+    if results is None:
+        with open_text(corpus) as lines:
+            results = [score_lines(lines)]
+    counts, ctx = merge_counts(shard_counts for shard_counts, _, _ in results)
+    totals = {key: sum(stats[key] for _, stats, _ in results) for key in results[0][1]}
+    return counts, ctx, totals
 
 
 def cmd_score(config: RunConfig, kind: str) -> int:
@@ -282,12 +337,10 @@ def cmd_score(config: RunConfig, kind: str) -> int:
     lexicon = load_name_lexicon(lexdir / "names_male.txt", lexdir / "names_female.txt")
     phrase_texts = {a.source_id: a.text for a in actions}
 
-    if kind == "tweet":
-        occurrences, stage_counts = _score_tweets(config, actions, lexicon, phrase_texts)
-    else:
-        occurrences, stage_counts = _score_documents(config, actions, lexicon, phrase_texts)
+    route = _score_tweets if kind == "tweet" else _score_documents
+    corpus, record_prefix, score_lines = route(config, actions, lexicon)
+    counts, ctx, totals = _score_shards(corpus, record_prefix, score_lines)
 
-    counts, ctx = aggregate(occurrences, dedup_per_record=config.dedup)
     scores = []
     degenerate: DegenerateDataError | None = None
     if not counts:
@@ -300,7 +353,9 @@ def cmd_score(config: RunConfig, kind: str) -> int:
             # they are written even though no score table can exist
             degenerate = exc
 
-    stage_counts += [
+    stage_counts = [
+        ("corpus", str(corpus)),
+        *totals.items(),
         ("dedup", str(config.dedup).lower()),
         ("occurrences_male", ctx.M),
         ("occurrences_female", ctx.F),
@@ -321,7 +376,7 @@ def cmd_score(config: RunConfig, kind: str) -> int:
         print(f"error: {degenerate}", file=sys.stderr)
         return 2
     _log(
-        f"score[{kind}]: {len(occurrences)} occurrences "
+        f"score[{kind}]: {totals['occurrences_attributed']} occurrences "
         f"(M={ctx.M}, F={ctx.F}) over {len(counts)} phrases; {len(scores)} scored"
     )
     return 0

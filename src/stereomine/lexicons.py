@@ -121,7 +121,7 @@ def guess_gender(first_name: str, lexicon: NameGenderLexicon) -> Gender:
     return Gender.UNKNOWN
 
 
-def load_tag_counts(path, tag_map: Mapping[str, str] | None = None) -> dict[str, dict[str, int]]:
+def load_tag_counts(path) -> dict[str, dict[str, int]]:
     """Read ``lemma<TAB>pos<TAB>count`` lines into per-lemma tag counts.
 
     Tags are kept at the granularity found in the file; the tag map is

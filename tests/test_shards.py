@@ -1,0 +1,309 @@
+"""Sharded scoring: byte ranges cut at record starts, forked workers, and
+a CLI whose artifacts, exit code and error text do not depend on the
+shard count."""
+
+import contextlib
+import io
+import os
+import tempfile
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from stereomine import cli, shards
+from stereomine.shards import open_range, run_forked, split_ranges
+
+FIXTURES = Path(__file__).parent / "fixtures"
+EXPECTED = FIXTURES / "expected"
+CFG = str(FIXTURES / "run.cfg")
+
+
+# --- byte ranges --------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lines=st.lists(
+        st.sampled_from(["#doc a", "#doc", "#document", "w\tNN\tw", "", "ü x", "€"]), max_size=30
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    prefix=st.sampled_from([b"", b"#doc"]),
+    count=st.integers(1, 9),
+)
+def test_ranges_cut_at_record_starts_and_reread_the_same_lines(
+    lines, newline, final_newline, prefix, count
+):
+    data = (newline.join(lines) + (newline if final_newline else "")).encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus"
+        path.write_bytes(data)
+        ranges = split_ranges(path, count, prefix)
+        assert 1 <= len(ranges) <= count
+        assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
+        for (_, end), (start, _) in zip(ranges, ranges[1:]):
+            assert end == start and data[start - 1 : start] == b"\n"
+            assert data[start:].startswith(prefix)
+        reread = []
+        for start, end in ranges:
+            with open_range(path, start, end) as fh:
+                reread.extend(fh)
+        with open(path, encoding="utf-8") as fh:
+            assert reread == list(fh)
+
+
+def test_shard_count_is_cores_capped_by_size(tmp_path, monkeypatch):
+    path = tmp_path / "corpus"
+    path.write_bytes(b"x\n" * 50)
+    assert shards.shard_count(path) == 1
+    monkeypatch.setattr(shards, "MIN_SHARD_BYTES", 25)
+    assert shards.shard_count(path) == min(len(os.sched_getaffinity(0)), 4)
+    path.write_bytes(b"")
+    assert shards.shard_count(path) == 1
+
+
+# --- forked workers -----------------------------------------------------------
+
+
+def test_run_forked_runs_each_range_in_its_own_process():
+    ranges = [(0, 5), (5, 9), (9, 20)]
+    results = run_forked(lambda start, end: (os.getpid(), start, end), ranges)
+    assert [r[1:] for r in results] == ranges
+    pids = [r[0] for r in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_run_forked_gives_none_when_any_shard_raises(failing):
+    ranges = [(0, 1), (1, 2), (2, 3)]
+
+    def work(start, end):
+        if start == failing:
+            raise ValueError("bad shard")
+        return start
+
+    assert run_forked(work, ranges) is None
+
+
+def test_run_forked_reaps_its_children_on_keyboard_interrupt():
+    def work(start, end):
+        if start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_forked(work, [(0, 1), (1, 2), (2, 3)])
+    assert time.monotonic() - began < 30  # the sleeping children were killed, not awaited
+
+
+# --- the CLI at forced shard counts -------------------------------------------
+
+
+def run_score(kind, cfg, lexdir, out, count=None, *extra):
+    """One ``score`` run with the shard count forced (None: the CLI's own);
+    returns exit code, artifact bytes by name and stderr."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        if count is not None:
+            mp.setattr(cli, "shard_count", lambda path: count)
+        rc = cli.main(
+            ["score", "--config", str(cfg), "--kind", kind,
+             "--lexicon-dir", str(lexdir), "--output-dir", str(out), *extra]
+        )
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return rc, files, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fixture_lexdir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("lexicons")
+    assert cli.main(["build-lexicons", "--config", CFG, "--output-dir", str(out)]) == 0
+    return out
+
+
+# docs.vert holds two documents, so it splits in two at most
+@pytest.mark.parametrize("kind, count", [("tweet", 3), ("document", 2)])
+def test_fixture_goldens_hold_in_shards_without_a_redo(
+    kind, count, fixture_lexdir, tmp_path, monkeypatch
+):
+    outcomes = []
+    def spy(*args):
+        outcomes.append(run_forked(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "run_forked", spy)
+    monkeypatch.setattr(cli, "open_text", None)  # the in-process redo would need it
+    rc, files, _ = run_score(kind, CFG, fixture_lexdir, tmp_path / "out", count)
+    assert rc == 0
+    assert len(outcomes) == 1 and len(outcomes[0]) == count
+    for name in (f"{kind}_counts.tsv", f"{kind}_scores.tsv"):
+        assert files[name] == (EXPECTED / name).read_bytes()
+
+
+def test_ids_repeated_across_shards_are_counted_in_one_pass(fixture_lexdir, tmp_path):
+    """A repeated tweet id fails at its own line; a repeated ``#doc`` id is
+    deduplicated across the whole file, as in a single pass."""
+    tweets = (FIXTURES / "tweets.tsv").read_text(encoding="utf-8")
+    (tmp_path / "tweets.tsv").write_text(tweets + tweets.splitlines()[0] + "\n", encoding="utf-8")
+    docs = (FIXTURES / "docs.vert").read_text(encoding="utf-8")
+    (tmp_path / "docs.vert").write_text(docs + docs, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"tweet_corpus = {tmp_path / 'tweets.tsv'}\ndocument_corpus = {tmp_path / 'docs.vert'}\n"
+        f"wordlist = {FIXTURES / 'wordlist.txt'}\ndedup = true\n",
+        encoding="utf-8",
+    )
+    rc, files, err = run_score("tweet", cfg, fixture_lexdir, tmp_path / "t2", 2)
+    assert (rc, files) == (1, {})
+    assert err == f"error: {tmp_path / 'tweets.tsv'}:{len(tweets.splitlines()) + 1}: duplicate record_id 't01'\n"
+    sharded = run_score("document", cfg, fixture_lexdir, tmp_path / "d4", 4)
+    assert sharded == run_score("document", cfg, fixture_lexdir, tmp_path / "d1", 1)
+    once = run_score("document", CFG, fixture_lexdir, tmp_path / "once", 1, "--dedup", "true")
+    assert sharded[1]["document_counts.tsv"] == once[1]["document_counts.tsv"]
+
+
+@pytest.fixture(scope="module")
+def lexdir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shard-lexicons")
+    (out / "actions.tsv").write_text(
+        "# phrase_id\tphrase_text\nA1\tmake money\nA2\tcook dinner\nA3\tfix car\nA4\twalk dog\n",
+        encoding="utf-8",
+    )
+    (out / "names_male.txt").write_text("john\ntom\n", encoding="utf-8")
+    (out / "names_female.txt").write_text("mary\nann\n", encoding="utf-8")
+    (out / "wordlist.txt").write_text(
+        "make\nmade\nmoney\ncook\ndinner\nfix\ncar\nwalk\ndog\nthe\nhe\nshe\njohn\nmary\n",
+        encoding="utf-8",
+    )
+    return out
+
+
+# (surface, fine tag, lemma); "xyzzy" is off the word list
+TOKENS = [
+    ("make", "VB", "make"), ("made", "VBD", "make"), ("money", "NN", "money"),
+    ("cook", "VB", "cook"), ("dinner", "NN", "dinner"), ("fix", "VB", "fix"),
+    ("car", "NN", "car"), ("walk", "VB", "walk"), ("dog", "NN", "dog"),
+    ("the", "DT", "the"), ("He", "PRP", "he"), ("she", "PRP", "she"),
+    ("John", "NNP", "john"), ("Mary", "NNP", "mary"), ("xyzzy", "NN", "xyzzy"),
+]
+token = st.sampled_from(TOKENS)
+sentence = st.lists(token, min_size=1, max_size=8)
+# faults land on a record drawn at random, so often in a later shard
+fault = st.sampled_from([None, None, "bad token", "duplicate id", "non-utf8"])
+
+
+@st.composite
+def tweet_corpus(draw):
+    records = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["John Smith", "mary", "Ann Lee", "Zed", "tom  t", ""]),
+                st.lists(sentence, min_size=1, max_size=3),
+                st.booleans(),  # a blank line follows
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    kind, at = draw(fault), draw(st.integers(0, len(records) - 1))
+    lines, line_of = [], []
+    for i, (author, sentences, blank) in enumerate(records):
+        record_id = f"t{i}"
+        if kind == "duplicate id" and i == at and i > 0:
+            record_id = "t0"
+        text = " </s> ".join(" ".join(f"{s}|{p}|{l}" for s, p, l in sent) for sent in sentences)
+        if kind == "bad token" and i == at:
+            text += " broken|NN"
+        line_of.append(len(lines))
+        lines.append(f"{record_id}\t{author}\t{text}")
+        if blank:
+            lines.append("")
+    data = (newline.join(lines) + newline).encode("utf-8")
+    if kind == "non-utf8":
+        offset = len((newline.join(lines[: line_of[at]]) + newline).encode("utf-8"))
+        data = data[:offset] + b"\xff" + data[offset:]
+    return data, {"dedup": draw(st.booleans())}
+
+
+@st.composite
+def document_corpus(draw):
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+
+    def add_sentences():
+        for sent in draw(st.lists(sentence, min_size=1, max_size=3)):
+            lines.extend(f"{s}\t{p}\t{l}" for s, p, l in sent)
+            lines.extend([""] * draw(st.integers(1, 2)))
+
+    if draw(st.booleans()):
+        add_sentences()  # sentences before the first #doc take autodoc ids
+    # a small id pool repeats ids across the file, "autodoc1" included
+    for doc_id in draw(st.lists(st.sampled_from(["a", "b", "c", "autodoc1", "d e"]), max_size=15)):
+        lines.append(f"#doc {doc_id}")
+        add_sentences()
+    if not lines:
+        lines.append("#doc z")
+    kind, at = draw(fault), draw(st.integers(0, len(lines) - 1))
+    if kind == "bad token":
+        lines.insert(at, "w\tNN")
+    data = (newline.join(lines) + newline).encode("utf-8")
+    if kind == "non-utf8":
+        data = data[: at * 3] + b"\xff" + data[at * 3 :]
+    return data, {"dedup": draw(st.booleans()), "extended_pronouns": draw(st.booleans())}
+
+
+@st.composite
+def plain_corpus(draw):
+    lines = [
+        " ".join(s for s, _, _ in sent) if sent else draw(st.sampled_from(["", "#doc x"]))
+        for sent in draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=40))
+    ]
+    data = (draw(st.sampled_from(["\n", "\r\n"])).join(lines)).encode("utf-8")
+    return data, {"dedup": draw(st.booleans()), "document_format": "plain"}
+
+
+def check_shard_counts_agree(kind, corpus, lexdir):
+    data, keys = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_path = tmp / "corpus"
+        corpus_path.write_bytes(data)
+        key = "tweet_corpus" if kind == "tweet" else "document_corpus"
+        cfg = tmp / "run.cfg"
+        cfg.write_text(
+            f"{key} = {corpus_path}\nwordlist = {lexdir / 'wordlist.txt'}\n"
+            + "".join(f"{k} = {str(v).lower()}\n" for k, v in keys.items()),
+            encoding="utf-8",
+        )
+        reference = run_score(kind, cfg, lexdir, tmp / "reference")
+        for count in (1, 2, 3, 7):
+            assert run_score(kind, cfg, lexdir, tmp / f"out{count}", count) == reference, count
+        if reference[0] == 1:
+            assert reference[2].startswith(f"error: {corpus_path}:")
+
+
+SHARD_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@SHARD_SETTINGS
+@given(corpus=tweet_corpus())
+def test_tweet_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
+    check_shard_counts_agree("tweet", corpus, lexdir)
+
+
+@SHARD_SETTINGS
+@given(corpus=document_corpus())
+def test_vertical_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
+    check_shard_counts_agree("document", corpus, lexdir)
+
+
+@SHARD_SETTINGS
+@given(corpus=plain_corpus())
+def test_plain_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
+    check_shard_counts_agree("document", corpus, lexdir)
