@@ -28,6 +28,7 @@ from .attribution import (
 )
 from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
 from .corpus_io import (
+    DOC_HEADER_CUT,
     DocumentRecord,
     EnglishFilterConfig,
     default_tag_map,
@@ -74,7 +75,7 @@ from .scoring import (
     parse_score_table,
     score_counts,
 )
-from .shards import open_range, run_forked, shard_count, split_ranges
+from .shards import ANY_LINE, open_range, run_forked, shard_count, split_ranges
 
 ACTIONS_HEADER = "# phrase_id\tphrase_text"
 
@@ -182,8 +183,8 @@ def cmd_build_lexicons(config: RunConfig) -> int:
 
 
 def _score_tweets(config: RunConfig, actions, lexicon):
-    """The tweet corpus, the prefix a shard cut must precede (any line
-    start), and a function scoring lines of the corpus into per-phrase
+    """The tweet corpus, the pattern of a line a shard cut must precede
+    (any line), and a function scoring lines of the corpus into per-phrase
     counts, manifest counters and the record ids it saw."""
     config.require("tweet_corpus")
     _check_optional_paths(config, "tag_map", "wordlist")
@@ -236,12 +237,12 @@ def _score_tweets(config: RunConfig, actions, lexicon):
         counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
         return counts, stats, ids
 
-    return config.tweet_corpus, b"", score_lines
+    return config.tweet_corpus, ANY_LINE, score_lines
 
 
 def _score_documents(config: RunConfig, actions, lexicon):
     """As ``_score_tweets`` for the document corpus; a vertical file is
-    cut only before a ``#doc`` line, so a document stays in one shard."""
+    cut only before a ``#doc`` header, so a document stays in one shard."""
     config.require("document_corpus")
     _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
@@ -295,10 +296,10 @@ def _score_documents(config: RunConfig, actions, lexicon):
         counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
         return counts, stats, ids
 
-    return config.document_corpus, b"" if plain else b"#doc", score_lines
+    return config.document_corpus, ANY_LINE if plain else DOC_HEADER_CUT, score_lines
 
 
-def _score_shards(corpus: Path, record_prefix: bytes, score_lines):
+def _score_shards(corpus: Path, record_start, score_lines):
     """``score_lines`` over the corpus split into shards, one per usable
     core; returns the merged counts, their scoring context and the summed
     manifest counters.  If a shard fails, or a record id turns up in two
@@ -306,7 +307,7 @@ def _score_shards(corpus: Path, record_prefix: bytes, score_lines):
     raises the error at its line and lets the first occurrence of a
     repeated id win, as a single pass over the file does."""
     results = None
-    ranges = split_ranges(corpus, shard_count(corpus), record_prefix)
+    ranges = split_ranges(corpus, shard_count(corpus), record_start)
     if len(ranges) > 1:
 
         def work(start, end):
@@ -338,8 +339,8 @@ def cmd_score(config: RunConfig, kind: str) -> int:
     phrase_texts = {a.source_id: a.text for a in actions}
 
     route = _score_tweets if kind == "tweet" else _score_documents
-    corpus, record_prefix, score_lines = route(config, actions, lexicon)
-    counts, ctx, totals = _score_shards(corpus, record_prefix, score_lines)
+    corpus, record_start, score_lines = route(config, actions, lexicon)
+    counts, ctx, totals = _score_shards(corpus, record_start, score_lines)
 
     scores = []
     degenerate: DegenerateDataError | None = None

@@ -3,7 +3,9 @@
 Two input formats are supported:
 
 * vertical documents: one ``surface<TAB>pos<TAB>lemma`` token per line,
-  a blank line ends a sentence, a ``#doc <id>`` line opens a document;
+  a blank line ends a sentence, a ``#doc <id>`` line opens a document
+  (``#doc``, then whitespace or the end of the line: ``#doctorwho`` is a
+  token, not a header);
 * tweet records: one record per line,
   ``record_id<TAB>author_name<TAB>token1|pos1|lemma1 token2|pos2|lemma2 ...``
   with sentence breaks encoded as the pseudo-token ``</s>``.
@@ -17,6 +19,7 @@ which is lowercased here.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,6 +33,14 @@ OTHER = "OTHER"
 COARSE_TAGS = frozenset({VERB, PRONOUN, PROPER_NOUN, OTHER})
 
 SENTENCE_BREAK = "</s>"
+
+_DOC_HEADER = r"#doc(?:\s|$)"
+DOC_HEADER = re.compile(_DOC_HEADER)
+# The same rule over the raw bytes of a file, matched from the newline
+# before the header, for cutting a file between documents.  In a bytes
+# pattern ``\s`` is ASCII whitespace only, so a header followed by other
+# whitespace is no cut, but a token line never is one.
+DOC_HEADER_CUT = re.compile(b"\n" + _DOC_HEADER.encode(), re.MULTILINE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,8 +196,9 @@ def parse_document_records(
 ) -> Iterator[DocumentRecord]:
     """Group a vertical file's sentences into per-``#doc`` records.
 
-    Sentences appearing before any ``#doc`` line are collected into an
-    implicit record with id ``autodoc1``.
+    Each sentence appearing before the first ``#doc`` line becomes a
+    record of its own, with ids ``autodoc1``, ``autodoc2``, ... in file
+    order.
     """
     current_id: str | None = None
     current: list[Sentence] = []
@@ -212,7 +224,8 @@ def _parse_vertical(lines, tag_map, path):
     surfaces, tags, lemmas = [], [], []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
-        is_doc = line.startswith("#doc")
+        # the prefix test keeps the regex off nearly every line
+        is_doc = line.startswith("#doc") and DOC_HEADER.match(line) is not None
         if is_doc or not line.strip():
             if surfaces:
                 yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
@@ -254,7 +267,7 @@ def parse_plain_stream(lines: Iterable[str], path=None) -> Iterator[Sentence]:
     """
     for line in lines:
         line = line.rstrip("\n")
-        if line.startswith("#doc") or not line.strip():
+        if not line.strip() or DOC_HEADER.match(line):
             continue
         words = tuple(line.split())
         yield Sentence(words, (OTHER,) * len(words), tuple(w.lower() for w in words))

@@ -84,30 +84,16 @@ def read_name_list(path) -> dict[str, int | None]:
     return names
 
 
-def load_name_lexicon(male_list, female_list, use_counts: bool = False) -> NameGenderLexicon:
+def load_name_lexicon(male_list, female_list) -> NameGenderLexicon:
     """Build the lexicon from two one-name-per-line files.
 
-    Names appearing on both lists are dropped from both, so lookups for
-    them return UNKNOWN.  With ``use_counts=True`` (and count columns in
-    the files) a conflicted name is instead kept on the side with the
-    strictly larger count; ties and missing counts still drop it.
+    Names appearing on both lists are dropped from both, whatever their
+    counts, so lookups for them return UNKNOWN.
     """
-    male = read_name_list(male_list)
-    female = read_name_list(female_list)
-    shared = set(male) & set(female)
-    male_keep = set(male) - shared
-    female_keep = set(female) - shared
-    if use_counts:
-        for name in shared:
-            mc, fc = male[name], female[name]
-            if mc is None or fc is None:
-                continue
-            if mc > fc:
-                male_keep.add(name)
-            elif fc > mc:
-                female_keep.add(name)
+    male = set(read_name_list(male_list))
+    female = set(read_name_list(female_list))
     return NameGenderLexicon(
-        male_names=frozenset(male_keep), female_names=frozenset(female_keep)
+        male_names=frozenset(male - female), female_names=frozenset(female - male)
     )
 
 

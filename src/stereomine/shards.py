@@ -4,8 +4,8 @@ forked processes.
 A shard is a byte range of the file that starts at offset 0 or just
 after a ``\\n``, so reading it as UTF-8 with universal newlines yields
 exactly the lines the whole file yields there.  A caller can also ask
-that every cut be followed by a given prefix (``#doc`` for vertical
-documents), so that no record straddles two shards.
+that every cut be at a line that starts a record (a ``#doc`` header for
+vertical documents), so that no record straddles two shards.
 """
 
 from __future__ import annotations
@@ -14,12 +14,16 @@ import io
 import mmap
 import os
 import pickle
+import re
 import signal
 from contextlib import contextmanager
 from pathlib import Path
 
 # below about this many bytes a shard costs more to fork than it saves
 MIN_SHARD_BYTES = 1 << 20
+
+# matches the newline before every line
+ANY_LINE = re.compile(b"\n")
 
 
 def shard_count(path: Path) -> int:
@@ -29,21 +33,23 @@ def shard_count(path: Path) -> int:
     return max(1, min(cores, os.path.getsize(path) // MIN_SHARD_BYTES))
 
 
-def split_ranges(path: Path, shards: int, record_prefix: bytes = b"") -> list[tuple[int, int]]:
+def split_ranges(
+    path: Path, shards: int, record_start: re.Pattern[bytes] = ANY_LINE
+) -> list[tuple[int, int]]:
     """Cut the file into at most ``shards`` byte ranges of about equal
-    size.  Each cut lies just after a ``\\n`` that is followed by
-    ``record_prefix``; where no such cut is left, fewer ranges come back."""
+    size.  Each cut lies just after the ``\\n`` at which a match of
+    ``record_start`` begins; where no such cut is left, fewer ranges come
+    back."""
     size = os.path.getsize(path)
     if shards <= 1 or size == 0:
         return [(0, size)]
-    marker = b"\n" + record_prefix
     cuts = [0]
     with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
         for k in range(1, shards):
-            at = data.find(marker, max(cuts[-1], size * k // shards))
-            if at < 0 or at + 1 >= size:
+            found = record_start.search(data, max(cuts[-1], size * k // shards))
+            if found is None or found.start() + 1 >= size:
                 break
-            cuts.append(at + 1)
+            cuts.append(found.start() + 1)
     cuts.append(size)
     return list(zip(cuts, cuts[1:]))
 

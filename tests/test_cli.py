@@ -1,10 +1,13 @@
+import contextlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stereomine.cli import main
 from stereomine.scoring import parse_counts_table, parse_score_table
@@ -421,3 +424,100 @@ def test_bad_dominance_ratio_flag(tmp_path):
     )
     assert rc == 1
     assert not (tmp_path / "o").exists()
+
+
+# --- arbitrary and mutated bytes in every file input ------------------------------
+
+PLAIN = b"He makes money now\nShe cooks dinner\n#doc x\n\nJohn walks the dog\n"
+TAG_MAP = b"# fine\tcoarse\nVV\tVERB\nPP\tPRONOUN\nNP\tPROPER_NOUN\nNN\tOTHER\n"
+# the fixture config with absolute input paths, so a copy elsewhere reads the same files
+CONFIG = "".join(
+    line.replace(" = ", f" = {FIXTURES}/") if line.rstrip().endswith((".tsv", ".vert", ".txt")) else line
+    for line in read(CFG).splitlines(keepends=True)
+).encode("utf-8")
+
+SCORES = ["--scores", str(EXPECTED / "tweet_scores.tsv"), str(EXPECTED / "document_scores.tsv")]
+
+# each file input of main: the bytes a mutation starts from, and the arguments
+# of a run that reads the file named next
+FILE_INPUTS = {
+    "tweet corpus": (FIXTURES / "tweets.tsv", ["score", "--kind", "tweet", "--tweet-corpus"]),
+    "vertical corpus": (FIXTURES / "docs.vert", ["score", "--kind", "document", "--document-corpus"]),
+    "plain corpus": (
+        PLAIN, ["score", "--kind", "document", "--document-format", "plain", "--document-corpus"]
+    ),
+    "names": (FIXTURES / "names_male.txt", ["build-lexicons", "--male-names"]),
+    "concepts": (FIXTURES / "concepts.tsv", ["build-lexicons", "--concepts"]),
+    "tag counts": (FIXTURES / "tag_counts.tsv", ["build-lexicons", "--tag-counts"]),
+    "tag map": (TAG_MAP, ["score", "--kind", "document", "--tag-map"]),
+    "word list": (FIXTURES / "wordlist.txt", ["score", "--kind", "tweet", "--wordlist"]),
+    "ratings": (FIXTURES / "ratings.tsv", ["evaluate", *SCORES, "--ratings"]),
+    "gold": (FIXTURES / "gold.tsv", ["evaluate", *SCORES, "--gold"]),
+    "scores": (
+        EXPECTED / "tweet_scores.tsv",
+        ["evaluate", "--gold", str(FIXTURES / "gold.tsv"), "--scores",
+         str(EXPECTED / "document_scores.tsv")],
+    ),
+    "probes": (FIXTURES / "probes.txt", ["sanity", "--probes"]),
+    "counts table": (
+        EXPECTED / "tweet_counts.tsv", ["merge-counts", str(EXPECTED / "document_counts.tsv")]
+    ),
+    "config": (CONFIG, ["build-lexicons", "--config"]),
+}
+
+PIECES = [b"\t", b"\n", b"\r\n", b"\r", b" ", b"|", b"#", b"#doc", b"</s>", b"=", b"\x00",
+          b"\xff", b"\xc3", b"\xe2\x80\x83", b"-", b"0", b"-1", b"1e999", b"nan", b"X"]
+
+
+@st.composite
+def mutated(draw, seed: bytes):
+    """The seed bytes under a few random edits, or arbitrary bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=300))
+    data = bytearray(seed)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(PIECES) | st.binary(min_size=1, max_size=6))
+        edit = draw(st.sampled_from(["insert", "replace", "delete", "repeat"]))
+        if edit == "insert":
+            data[at:at] = piece
+        elif edit == "replace":
+            data[at : at + len(piece)] = piece
+        elif edit == "delete":
+            del data[at : at + draw(st.integers(1, 40))]
+        else:
+            data[at:at] = data[at : at + draw(st.integers(1, 80))]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("name", sorted(FILE_INPUTS))
+def test_mutated_file_inputs_exit_cleanly(name, lexdir):
+    """Whatever one input file holds, main returns 0, 1 or 2, prints an
+    ``error:`` line when it fails, and lets no exception escape."""
+    seed, args = FILE_INPUTS[name]
+    seed = seed if isinstance(seed, bytes) else seed.read_bytes()
+
+    def run(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(data)
+            out = str(Path(tmp) / "out")
+            argv = [*args, str(path)]
+            if "--config" not in argv:
+                argv += ["--config", CFG]
+            argv += ["--output-dir", out, "--lexicon-dir", str(lexdir)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                return main(argv), err.getvalue()
+
+    assert run(seed)[0] == 0
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=mutated(seed))
+    def check(data):
+        rc, err = run(data)
+        assert rc in (0, 1, 2)
+        if rc:
+            assert any(line.startswith("error: ") for line in err.splitlines())
+
+    check()

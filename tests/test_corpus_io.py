@@ -107,6 +107,19 @@ def test_doc_line_without_id_fails(tag_map):
         list(parse_document_stream(["#doc   ", "a\tNN\ta"], tag_map))
 
 
+def test_doc_header_is_doc_then_whitespace_or_end_of_line(tag_map):
+    lines = ["#doc\ta", "#doctorwho\tNN\t#doctorwho", "", "#doc", "#doc b"]
+    with pytest.raises(CorpusFormatError) as exc:
+        list(parse_document_records(lines, tag_map, path="d.vert"))
+    assert str(exc.value) == "d.vert:4: #doc line without an id"
+    del lines[3]
+    (doc_a, doc_b) = parse_document_records(lines + ["x\tNN\tx"], tag_map)
+    assert doc_a.record_id == "a" and doc_a.sentences[0].lemmata == ("#doctorwho",)
+    assert doc_b.record_id == "b"
+    plain = list(parse_plain_stream(["#doctorwho is on", "#doc x", "#doc"]))
+    assert [s.surfaces for s in plain] == [("#doctorwho", "is", "on")]
+
+
 def test_vertical_bad_arity_reports_location(tag_map):
     with pytest.raises(CorpusFormatError) as exc:
         list(parse_document_stream(["ok\tNN\tok", "broken line"], tag_map, path="d.vert"))

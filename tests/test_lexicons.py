@@ -64,26 +64,6 @@ def test_conflicted_names_drop_from_both_sides(name_lexicon):
     assert len(name_lexicon.female_names) == 6
 
 
-def test_use_counts_resolves_unequal_conflicts(fixtures):
-    lexicon = load_name_lexicon(
-        fixtures / "names_male.txt", fixtures / "names_female.txt", use_counts=True
-    )
-    # jordan: 2000 male vs 500 female, kept male
-    assert "jordan" in lexicon.male_names
-    assert "jordan" not in lexicon.female_names
-    # taylor: 800 vs 800, still dropped
-    assert "taylor" not in lexicon.male_names
-    assert "taylor" not in lexicon.female_names
-
-
-def test_use_counts_without_counts_still_drops(tmp_path):
-    (tmp_path / "m.txt").write_text("pat\nsam\t5\n", encoding="utf-8")
-    (tmp_path / "f.txt").write_text("pat\t9\nsam\t5\n", encoding="utf-8")
-    lexicon = load_name_lexicon(tmp_path / "m.txt", tmp_path / "f.txt", use_counts=True)
-    assert "pat" not in lexicon.male_names and "pat" not in lexicon.female_names
-    assert "sam" not in lexicon.male_names and "sam" not in lexicon.female_names
-
-
 def test_guess_gender(name_lexicon):
     assert guess_gender("mary", name_lexicon) is Gender.FEMALE
     assert guess_gender("MARY", name_lexicon) is Gender.FEMALE

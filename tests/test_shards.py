@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stereomine import cli, shards
-from stereomine.shards import open_range, run_forked, split_ranges
+from stereomine.corpus_io import DOC_HEADER, DOC_HEADER_CUT
+from stereomine.shards import ANY_LINE, open_range, run_forked, split_ranges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED = FIXTURES / "expected"
@@ -26,26 +27,28 @@ CFG = str(FIXTURES / "run.cfg")
 @settings(max_examples=200, deadline=None)
 @given(
     lines=st.lists(
-        st.sampled_from(["#doc a", "#doc", "#document", "w\tNN\tw", "", "ü x", "€"]), max_size=30
+        st.sampled_from(["#doc a", "#doc", "#document", "#doc\u2003b", "w\tNN\tw", "", "ü x", "€"]),
+        max_size=30,
     ),
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
-    prefix=st.sampled_from([b"", b"#doc"]),
+    record_start=st.sampled_from([ANY_LINE, DOC_HEADER_CUT]),
     count=st.integers(1, 9),
 )
 def test_ranges_cut_at_record_starts_and_reread_the_same_lines(
-    lines, newline, final_newline, prefix, count
+    lines, newline, final_newline, record_start, count
 ):
     data = (newline.join(lines) + (newline if final_newline else "")).encode("utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus"
         path.write_bytes(data)
-        ranges = split_ranges(path, count, prefix)
+        ranges = split_ranges(path, count, record_start)
         assert 1 <= len(ranges) <= count
         assert ranges[0][0] == 0 and ranges[-1][1] == len(data)
         for (_, end), (start, _) in zip(ranges, ranges[1:]):
             assert end == start and data[start - 1 : start] == b"\n"
-            assert data[start:].startswith(prefix)
+            if record_start is DOC_HEADER_CUT:
+                assert DOC_HEADER.match(data[start:].decode("utf-8").splitlines()[0])
         reread = []
         for start, end in ranges:
             with open_range(path, start, end) as fh:
@@ -188,6 +191,7 @@ TOKENS = [
     ("car", "NN", "car"), ("walk", "VB", "walk"), ("dog", "NN", "dog"),
     ("the", "DT", "the"), ("He", "PRP", "he"), ("she", "PRP", "she"),
     ("John", "NNP", "john"), ("Mary", "NNP", "mary"), ("xyzzy", "NN", "xyzzy"),
+    ("#doctorwho", "NN", "#doctorwho"),  # a token, though it starts with "#doc"
 ]
 token = st.sampled_from(TOKENS)
 sentence = st.lists(token, min_size=1, max_size=8)
