@@ -1,9 +1,10 @@
 """Command-line pipeline over declarative configs.
 
 Subcommands: build-lexicons, score, evaluate, sanity, and merge-counts
-(test support).  Every artifact is a TSV written atomically after the
-whole run has succeeded, so a failing run leaves no partial outputs,
-and every run emits a manifest of stage counts next to its artifacts.
+(joins the counts tables of a partitioned run and rescores them).
+Every artifact is a TSV written atomically after the whole run has
+succeeded, so a failing run leaves no partial outputs, and every run
+emits a manifest of stage counts next to its artifacts.
 
 Exit codes: 0 success, 1 input or configuration error, 2 degenerate
 data.
@@ -40,7 +41,7 @@ from .corpus_io import (
     parse_tweet_stream,
     passes_english_filter,
 )
-from .errors import ConfigError, CorpusFormatError, DegenerateDataError, open_text
+from .errors import ConfigError, CorpusFormatError, DegenerateDataError, format_rows, open_text
 from .evaluation import (
     aggregate_gold,
     evaluate_method,
@@ -55,6 +56,7 @@ from .evaluation import (
 from .lexicons import (
     ActionPhrase,
     Gender,
+    NameGenderLexicon,
     build_verb_lexicon,
     extract_actions,
     guess_gender,
@@ -76,8 +78,6 @@ from .scoring import (
     score_counts,
 )
 from .shards import ANY_LINE, open_range, run_forked, shard_count, split_ranges
-
-ACTIONS_HEADER = "# phrase_id\tphrase_text"
 
 
 def _log(message: str) -> None:
@@ -143,7 +143,7 @@ def cmd_build_lexicons(config: RunConfig) -> int:
     raw_male = read_name_list(config.male_names)
     raw_female = read_name_list(config.female_names)
     conflicts = len(set(raw_male) & set(raw_female))
-    lexicon = load_name_lexicon(config.male_names, config.female_names)
+    lexicon = NameGenderLexicon.from_lists(raw_male, raw_female)
 
     tag_counts = load_tag_counts(config.tag_counts)
     verbs = build_verb_lexicon(tag_counts, config.dominance_ratio, tag_map)
@@ -154,12 +154,13 @@ def cmd_build_lexicons(config: RunConfig) -> int:
     if not actions:
         _log("warning: no verb-initial multi-word concepts; actions.tsv will be empty")
 
-    action_lines = [ACTIONS_HEADER] + [f"{a.source_id}\t{a.text}" for a in actions]
     artifacts = {
         "names_male.txt": "".join(f"{n}\n" for n in sorted(lexicon.male_names)),
         "names_female.txt": "".join(f"{n}\n" for n in sorted(lexicon.female_names)),
         "verbs.txt": "".join(f"{v}\n" for v in sorted(verbs.verbs)),
-        "actions.tsv": "\n".join(action_lines) + "\n",
+        "actions.tsv": format_rows(
+            ("phrase_id", "phrase_text"), ((a.source_id, a.text) for a in actions)
+        ),
         "lexicons_manifest.tsv": _manifest(
             [
                 ("male_names_in", len(raw_male)),
@@ -212,8 +213,8 @@ def _score_tweets(config: RunConfig, actions, lexicon):
                     author_unknown += 1
                 if automaton is None:
                     continue
-                for i, sentence in enumerate(record.sentences):
-                    matches = find_matches(sentence, automaton, sentence_ref=i)
+                for sentence in record.sentences:
+                    matches = find_matches(sentence, automaton)
                     matches_total += len(matches)
                     if gender is Gender.UNKNOWN:
                         continue
@@ -268,11 +269,11 @@ def _score_documents(config: RunConfig, actions, lexicon):
                 records_read += 1
                 if not plain:  # a plain id numbers a line within its shard, never a repeat
                     ids.add(record.record_id)
-                for i, sentence in enumerate(record.sentences):
+                for sentence in record.sentences:
                     sentences_read += 1
                     if automaton is None:
                         continue
-                    for match in find_matches(sentence, automaton, sentence_ref=i):
+                    for match in find_matches(sentence, automaton):
                         matches_total += 1
                         gender = attribute_by_context(sentence, match, lexicon, pronouns)
                         if gender is Gender.UNKNOWN:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, get_args, get_type_hints
 
 from .errors import ConfigError, open_text
 
@@ -27,18 +27,14 @@ def _to_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
-def _to_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
+_NUMBERS = {int: "an integer", float: "a number"}
 
 
-def _to_float(key: str, raw: str) -> float:
+def _to_number(key: str, raw: str, kind: type) -> int | float:
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {_NUMBERS[kind]}, got {raw!r}") from None
 
 
 @dataclass
@@ -83,20 +79,12 @@ class RunConfig:
                 raise ConfigError(f"{k}: no such file: {value}")
 
 
-_PATH_KEYS = {
-    "tweet_corpus",
-    "document_corpus",
-    "male_names",
-    "female_names",
-    "concepts",
-    "tag_counts",
-    "tag_map",
-    "wordlist",
-    "output_dir",
-    "lexicon_dir",
-}
-
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+# each key's value type, from its annotation (``Path | None`` counts as Path)
+_KEY_TYPES = {
+    key: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for key, hint in get_type_hints(RunConfig).items()
+}
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
@@ -152,17 +140,16 @@ def build_config(
 
     kwargs: dict[str, object] = {}
     for key, (raw, from_file) in merged.items():
-        if key in _PATH_KEYS:
+        kind = _KEY_TYPES[key]
+        if kind is Path:
             p = Path(raw)
             if from_file and base_dir is not None and not p.is_absolute():
                 p = base_dir / p
             kwargs[key] = p
-        elif key in ("dedup", "extended_pronouns"):
+        elif kind is bool:
             kwargs[key] = _to_bool(key, raw)
-        elif key in ("min_occurrences", "seed"):
-            kwargs[key] = _to_int(key, raw)
-        elif key in ("dominance_ratio", "max_nonenglish_ratio"):
-            kwargs[key] = _to_float(key, raw)
+        elif kind in _NUMBERS:
+            kwargs[key] = _to_number(key, raw, kind)
         else:
             kwargs[key] = raw
     return RunConfig(**kwargs)

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ConfigError, CorpusFormatError, open_text
+from .errors import ConfigError, CorpusFormatError, open_text, read_rows
 
 VERB = "VERB"
 PRONOUN = "PRONOUN"
@@ -126,18 +126,8 @@ def default_tag_map() -> dict[str, str]:
 def parse_tag_map(lines: Iterable[str], path=None) -> dict[str, str]:
     """Parse ``fine_tag<TAB>coarse_tag`` lines into a mapping."""
     mapping: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusFormatError(
-                f"tag map line needs 2 tab-separated fields, got {len(parts)}",
-                line_no=line_no,
-                path=path,
-            )
-        fine, coarse = parts[0].strip(), parts[1].strip()
+    for line_no, (fine, coarse) in read_rows(lines, path, ("fine_tag", "coarse_tag")):
+        fine, coarse = fine.strip(), coarse.strip()
         if coarse not in COARSE_TAGS:
             raise CorpusFormatError(
                 f"unknown coarse tag {coarse!r} (expected one of {sorted(COARSE_TAGS)})",

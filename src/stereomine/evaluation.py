@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus_io import TweetRecord
-from .errors import CorpusFormatError, DegenerateDataError, open_text
+from .errors import CorpusFormatError, DegenerateDataError, format_rows, open_text, read_rows
 from .lexicons import ActionPhrase, Gender, NameGenderLexicon, guess_gender
 from .matcher import compile_phrases, find_matches
 
@@ -79,18 +79,8 @@ def parse_ratings(lines: Iterable[str], path=None) -> list[RawRating]:
     """Read ``phrase_id<TAB>rater_id<TAB>value`` rows; value is one of
     -2, -1, 0, 1, 2 or X."""
     out: list[RawRating] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorpusFormatError(
-                f"expected phrase_id<TAB>rater_id<TAB>value, got {len(parts)} fields",
-                line_no=line_no,
-                path=path,
-            )
-        pid, rater, value_s = parts
+    columns = ("phrase_id", "rater_id", "value")
+    for line_no, (pid, rater, value_s) in read_rows(lines, path, columns):
         if value_s == MEANINGLESS:
             value = None
         else:
@@ -400,34 +390,20 @@ def sanity_proportions(
     return rows
 
 
-GOLD_HEADER = "# phrase_id\tphrase_text\tmean_score\tn_raters"
-EVAL_REPORT_HEADER = "# method\tspearman\tauc\taccuracy\tcoverage_pct\tcoverage_n"
-SCATTER_HEADER = "# phrase_text\tz_corpusA\tz_corpusB\tgold_mean\tquadrant"
-SANITY_HEADER = "# phrase\tmale_pct\tfemale_pct"
+GOLD_COLUMNS = ("phrase_id", "phrase_text", "mean_score", "n_raters")
+EVAL_REPORT_COLUMNS = ("method", "spearman", "auc", "accuracy", "coverage_pct", "coverage_n")
+SCATTER_COLUMNS = ("phrase_text", "z_corpusA", "z_corpusB", "gold_mean", "quadrant")
+SANITY_COLUMNS = ("phrase", "male_pct", "female_pct")
 
 
 def format_gold(entries: Iterable[GoldRating]) -> str:
-    lines = [GOLD_HEADER]
-    for g in sorted(entries, key=lambda g: g.phrase_id):
-        lines.append(f"{g.phrase_id}\t{g.text}\t{g.mean_score}\t{g.n_raters}")
-    return "\n".join(lines) + "\n"
+    rows = ((g.phrase_id, g.text, g.mean_score, g.n_raters) for g in entries)
+    return format_rows(GOLD_COLUMNS, sorted(rows, key=lambda row: row[0]))
 
 
 def parse_gold(lines: Iterable[str], path=None) -> list[GoldRating]:
     out: list[GoldRating] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorpusFormatError(
-                "expected phrase_id<TAB>phrase_text<TAB>mean_score<TAB>n_raters, "
-                f"got {len(parts)} fields",
-                line_no=line_no,
-                path=path,
-            )
-        pid, text, mean_s, n_s = parts
+    for line_no, (pid, text, mean_s, n_s) in read_rows(lines, path, GOLD_COLUMNS):
         try:
             entry = GoldRating(
                 phrase_id=pid, mean_score=float(mean_s), n_raters=int(n_s), text=text
@@ -446,21 +422,13 @@ def load_gold(path) -> list[GoldRating]:
 def format_eval_reports(reports: Iterable[EvalReport]) -> str:
     """Rows keep caller order: single-method runs have one row, paired
     runs list corpus A, corpus B, combined, matching-signs."""
-    lines = [EVAL_REPORT_HEADER]
-    for r in reports:
-        lines.append(
-            "\t".join(
-                (
-                    r.method_name,
-                    str(r.spearman),
-                    str(r.auc),
-                    str(r.accuracy),
-                    str(r.coverage_pct),
-                    str(r.coverage_n),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return format_rows(
+        EVAL_REPORT_COLUMNS,
+        (
+            (r.method_name, r.spearman, r.auc, r.accuracy, r.coverage_pct, r.coverage_n)
+            for r in reports
+        ),
+    )
 
 
 def _quadrant(x: float, y: float) -> int:
@@ -481,18 +449,15 @@ def format_scatter(
     """Two-corpus scatter rows over phrases scored in both corpora and
     present in the gold set, sorted by phrase id."""
     gold_by_id = {g.phrase_id: g for g in gold}
-    lines = [SCATTER_HEADER]
+    rows = []
     for pid in sorted(z_a.keys() & z_b.keys() & gold_by_id.keys()):
-        xa, xb = z_a[pid], z_b[pid]
-        text = phrase_texts.get(pid) or gold_by_id[pid].text or pid
-        lines.append(
-            f"{text}\t{xa}\t{xb}\t{gold_by_id[pid].mean_score}\t{_quadrant(xa, xb)}"
-        )
-    return "\n".join(lines) + "\n"
+        xa, xb, g = z_a[pid], z_b[pid], gold_by_id[pid]
+        text = phrase_texts.get(pid) or g.text or pid
+        rows.append((text, xa, xb, g.mean_score, _quadrant(xa, xb)))
+    return format_rows(SCATTER_COLUMNS, rows)
 
 
 def format_sanity_table(rows: Iterable[SanityRow], seed: int) -> str:
-    lines = [f"# seed={seed}", SANITY_HEADER]
-    for row in rows:
-        lines.append(f"{row.phrase_text}\t{row.male_pct}\t{row.female_pct}")
-    return "\n".join(lines) + "\n"
+    return f"# seed={seed}\n" + format_rows(
+        SANITY_COLUMNS, ((r.phrase_text, r.male_pct, r.female_pct) for r in rows)
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .corpus_io import VERB
-from .errors import ConfigError, CorpusFormatError, open_text
+from .errors import ConfigError, CorpusFormatError, open_text, read_rows
 
 
 class Gender(enum.Enum):
@@ -27,11 +27,16 @@ class NameGenderLexicon:
     male_names: frozenset[str]
     female_names: frozenset[str]
 
+    @classmethod
+    def from_lists(cls, male: Iterable[str], female: Iterable[str]) -> NameGenderLexicon:
+        """Names on both lists are dropped from both."""
+        male, female = set(male), set(female)
+        return cls(male_names=frozenset(male - female), female_names=frozenset(female - male))
+
 
 @dataclass(frozen=True)
 class VerbLexicon:
     verbs: frozenset[str]
-    dominance_ratio: float
 
     def __contains__(self, lemma: str) -> bool:
         return lemma in self.verbs
@@ -90,11 +95,7 @@ def load_name_lexicon(male_list, female_list) -> NameGenderLexicon:
     Names appearing on both lists are dropped from both, whatever their
     counts, so lookups for them return UNKNOWN.
     """
-    male = set(read_name_list(male_list))
-    female = set(read_name_list(female_list))
-    return NameGenderLexicon(
-        male_names=frozenset(male - female), female_names=frozenset(female - male)
-    )
+    return NameGenderLexicon.from_lists(read_name_list(male_list), read_name_list(female_list))
 
 
 def guess_gender(first_name: str, lexicon: NameGenderLexicon) -> Gender:
@@ -115,18 +116,7 @@ def load_tag_counts(path) -> dict[str, dict[str, int]]:
     """
     counts: dict[str, dict[str, int]] = {}
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(
-                    f"expected lemma<TAB>pos<TAB>count, got {len(parts)} fields",
-                    line_no=line_no,
-                    path=path,
-                )
-            lemma, pos, count_s = parts
+        for line_no, (lemma, pos, count_s) in read_rows(fh, path, ("lemma", "pos", "count")):
             try:
                 count = int(count_s)
             except ValueError:
@@ -173,24 +163,14 @@ def build_verb_lexicon(
                 nonverb_max = count
         if verb_total > 0 and verb_total > dominance_ratio * nonverb_max:
             verbs.add(lemma)
-    return VerbLexicon(verbs=frozenset(verbs), dominance_ratio=dominance_ratio)
+    return VerbLexicon(verbs=frozenset(verbs))
 
 
 def load_concepts(path) -> Iterator[tuple[str, str]]:
     """Yield (concept_id, concept_text) pairs from a TSV file."""
     with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusFormatError(
-                    f"expected concept_id<TAB>concept_text, got {len(parts)} fields",
-                    line_no=line_no,
-                    path=path,
-                )
-            yield parts[0], parts[1]
+        for _, (concept_id, text) in read_rows(fh, path, ("concept_id", "concept_text")):
+            yield concept_id, text
 
 
 def extract_actions(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .attribution import GenderedOccurrence
-from .errors import CorpusFormatError, DegenerateDataError
+from .errors import CorpusFormatError, DegenerateDataError, format_rows, read_rows
 from .lexicons import Gender
 
 
@@ -217,19 +217,18 @@ def matching_signs_filter(
     return out
 
 
-COUNTS_TABLE_HEADER = "# phrase_id\tphrase_text\tm\tf"
-SCORE_TABLE_HEADER = "# phrase_id\tphrase_text\tm\tf\traw\ts\tz"
+COUNTS_COLUMNS = ("phrase_id", "phrase_text", "m", "f")
+SCORE_COLUMNS = (*COUNTS_COLUMNS, "raw", "s", "z")
 
 
 def format_counts_table(
     counts: Mapping[str, GenderedCount], phrase_texts: Mapping[str, str]
 ) -> str:
     """Render raw per-phrase counts, the mergeable partition artifact."""
-    lines = [COUNTS_TABLE_HEADER]
-    for pid in sorted(counts):
-        count = counts[pid]
-        lines.append(f"{pid}\t{phrase_texts.get(pid, '')}\t{count.m}\t{count.f}")
-    return "\n".join(lines) + "\n"
+    return format_rows(
+        COUNTS_COLUMNS,
+        ((pid, phrase_texts.get(pid, ""), c.m, c.f) for pid, c in sorted(counts.items())),
+    )
 
 
 def parse_counts_table(
@@ -237,18 +236,7 @@ def parse_counts_table(
 ) -> tuple[dict[str, GenderedCount], dict[str, str]]:
     counts: dict[str, GenderedCount] = {}
     texts: dict[str, str] = {}
-    for line_no, raw_line in enumerate(lines, start=1):
-        line = raw_line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise CorpusFormatError(
-                f"expected 4 tab-separated fields, got {len(fields)}",
-                line_no=line_no,
-                path=path,
-            )
-        pid, text, m_s, f_s = fields
+    for line_no, (pid, text, m_s, f_s) in read_rows(lines, path, COUNTS_COLUMNS):
         try:
             m, f = int(m_s), int(f_s)
         except ValueError as exc:
@@ -270,23 +258,11 @@ def format_score_table(
     Floats are written with repr-quality precision (str of the float) so
     a read/write round trip is value-exact.
     """
-    lines = [SCORE_TABLE_HEADER]
-    for score in sorted(scores, key=lambda s: s.phrase_id):
-        z_field = "" if score.z is None else str(score.z)
-        lines.append(
-            "\t".join(
-                (
-                    score.phrase_id,
-                    phrase_texts[score.phrase_id],
-                    str(score.m),
-                    str(score.f),
-                    str(score.raw),
-                    str(score.s),
-                    z_field,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (s.phrase_id, phrase_texts[s.phrase_id], s.m, s.f, s.raw, s.s, "" if s.z is None else s.z)
+        for s in sorted(scores, key=lambda s: s.phrase_id)
+    )
+    return format_rows(SCORE_COLUMNS, rows)
 
 
 def parse_score_table(
@@ -295,18 +271,7 @@ def parse_score_table(
     """Inverse of format_score_table; returns (scores, phrase_id -> text)."""
     scores: list[BiasScore] = []
     texts: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise CorpusFormatError(
-                f"expected 7 tab-separated fields, got {len(fields)}",
-                line_no=line_no,
-                path=path,
-            )
-        pid, text, m_s, f_s, raw_s, s_s, z_s = fields
+    for line_no, (pid, text, m_s, f_s, raw_s, s_s, z_s) in read_rows(lines, path, SCORE_COLUMNS):
         try:
             m, f = int(m_s), int(f_s)
             raw, s = float(raw_s), float(s_s)

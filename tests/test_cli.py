@@ -51,6 +51,24 @@ def test_build_lexicons_golden(lexdir):
     assert manifest["actions_out"] == "12"
 
 
+def test_build_lexicons_reads_each_name_list_once(tmp_path, monkeypatch):
+    import stereomine.cli
+    import stereomine.lexicons
+
+    reads = []
+    read_name_list = stereomine.lexicons.read_name_list
+
+    def counting(path):
+        reads.append(Path(path).name)
+        return read_name_list(path)
+
+    monkeypatch.setattr(stereomine.cli, "read_name_list", counting)
+    monkeypatch.setattr(stereomine.lexicons, "read_name_list", counting)
+    assert main(["build-lexicons", "--config", CFG, "--output-dir", str(tmp_path)]) == 0
+    assert sorted(reads) == ["names_female.txt", "names_male.txt"]
+    assert read(tmp_path / "names_male.txt") == read(EXPECTED / "names_male.txt")
+
+
 def test_build_lexicons_requires_inputs(tmp_path):
     rc = main(["build-lexicons", "--output-dir", str(tmp_path / "o")])
     assert rc == 1

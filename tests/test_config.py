@@ -104,6 +104,24 @@ def test_type_coercion_errors():
         build_config({"dedup": "maybe"}, {})
 
 
+def test_each_key_takes_the_type_of_its_annotation(tmp_path):
+    raw = {key: "plain" if key == "document_format" else "1" for key in CONFIG_KEYS}
+    config = build_config(raw, {}, base_dir=tmp_path)
+    paths = {
+        "tweet_corpus", "document_corpus", "male_names", "female_names", "concepts",
+        "tag_counts", "tag_map", "wordlist", "output_dir", "lexicon_dir",
+    }
+    for key in paths:
+        assert getattr(config, key) == tmp_path / "1", key
+    assert config.dedup is True and config.extended_pronouns is True
+    for key in ("min_occurrences", "seed"):
+        assert type(getattr(config, key)) is int and getattr(config, key) == 1, key
+    for key in ("dominance_ratio", "max_nonenglish_ratio"):
+        assert type(getattr(config, key)) is float and getattr(config, key) == 1.0, key
+    assert config.document_format == "plain"
+    assert len(paths) + 7 == len(CONFIG_KEYS)
+
+
 def test_bool_spellings():
     for raw, value in (("1", True), ("on", True), ("No", False), ("FALSE", False)):
         assert build_config({"dedup": raw}, {}).dedup is value

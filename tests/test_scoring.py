@@ -308,6 +308,9 @@ def test_counts_table_round_trip():
     parsed, texts = parse_counts_table(io.StringIO(text))
     assert parsed == counts
     assert texts == {"a": "go bed", "b": "feel good"}
+    header_only = format_counts_table({}, {})
+    assert header_only == "# phrase_id\tphrase_text\tm\tf\n"
+    assert parse_counts_table(io.StringIO(header_only)) == ({}, {})
 
 
 def test_counts_table_rejects_duplicates():
@@ -337,6 +340,9 @@ def test_score_table_round_trip_is_value_exact():
     assert texts["a"] == "make money"
     # the z column is empty, not "None"
     assert "\tNone" not in text
+    header_only = format_score_table([], {})
+    assert header_only == "# phrase_id\tphrase_text\tm\tf\traw\ts\tz\n"
+    assert parse_score_table(io.StringIO(header_only)) == ([], {})
 
 
 def test_score_table_sorted_by_phrase_id():
