@@ -3,8 +3,10 @@
 Two routes: tweet records use the author's guessed gender (all matches
 in a record inherit it, or the whole record is discarded); documents
 use the nearest pronoun or proper name to the left of the match within
-the sentence.  Occurrences that cannot be attributed simply never
-become ``GenderedOccurrence`` values.
+the sentence.  ``score`` tallies counts itself and calls only
+``attribute_by_context``; ``GenderedOccurrence``, ``Source`` and
+``attribute_by_author`` are library API, which with
+``scoring.aggregate`` gives the same counts one object at a time.
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ from pathlib import Path
 from .attribution import (
     DEFAULT_PRONOUNS,
     EXTENDED_PRONOUNS,
-    GenderedOccurrence,
-    Source,
     attribute_by_context,
 )
 from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
@@ -65,9 +63,9 @@ from .lexicons import (
     load_tag_counts,
     read_name_list,
 )
-from .matcher import compile_phrases, find_matches
+from .matcher import _match_ids, compile_phrases, find_matches
 from .scoring import (
-    aggregate,
+    GenderedCount,
     combine_average,
     format_counts_table,
     format_score_table,
@@ -183,6 +181,18 @@ def cmd_build_lexicons(config: RunConfig) -> int:
     return 0
 
 
+def _phrase_index(actions) -> tuple[dict[str, int], list[str]]:
+    """A canonical index per distinct phrase id (two actions may share
+    one), and the phrase id at each index."""
+    pids = list(dict.fromkeys(action.source_id for action in actions))
+    return {pid: c for c, pid in enumerate(pids)}, pids
+
+
+def _counts(pids: list[str], m: list[int], f: list[int]) -> dict[str, GenderedCount]:
+    """The per-phrase counts of the phrases a shard tallied at least once."""
+    return {pid: GenderedCount(pid, m[c], f[c]) for c, pid in enumerate(pids) if m[c] or f[c]}
+
+
 def _score_tweets(config: RunConfig, actions, lexicon):
     """The tweet corpus, the pattern of a line a shard cut must precede
     (any line), and a function scoring lines of the corpus into per-phrase
@@ -194,49 +204,47 @@ def _score_tweets(config: RunConfig, actions, lexicon):
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
     )
     automaton = compile_phrases(actions) if actions else None
+    index, pids = _phrase_index(actions)
+    canon = [index[action.source_id] for action in actions]
     path = str(config.tweet_corpus)
 
     def score_lines(lines):
+        # tweet ids are unique in a file, so dedup needs a set per record only
         ids: set[str] = set()
-        stats: dict[str, int] = {}
-
-        def occurrences():
-            records_read = filtered = author_unknown = matches_total = attributed = 0
-            for record in parse_tweet_stream(lines, tag_map, path=path):
-                records_read += 1
-                ids.add(record.record_id)
-                if not passes_english_filter(record, english):
-                    filtered += 1
-                    continue
-                gender = guess_gender(record.author_first_name, lexicon)
+        m, f = [0] * len(pids), [0] * len(pids)
+        records_read = filtered = author_unknown = matches_total = attributed = 0
+        for record in parse_tweet_stream(lines, tag_map, path=path):
+            records_read += 1
+            ids.add(record.record_id)
+            if not passes_english_filter(record, english):
+                filtered += 1
+                continue
+            gender = guess_gender(record.author_first_name, lexicon)
+            if gender is Gender.UNKNOWN:
+                author_unknown += 1
+            if automaton is None:
+                continue
+            tally = m if gender is Gender.MALE else f
+            seen: set[int] = set()
+            for sentence in record.sentences:
+                found = _match_ids(automaton, sentence.lemmata)
+                matches_total += len(found)
                 if gender is Gender.UNKNOWN:
-                    author_unknown += 1
-                if automaton is None:
                     continue
-                for sentence in record.sentences:
-                    matches = find_matches(sentence, automaton)
-                    matches_total += len(matches)
-                    if gender is Gender.UNKNOWN:
-                        continue
-                    attributed += len(matches)
-                    for match in matches:
-                        yield GenderedOccurrence(
-                            phrase_id=match.phrase_id,
-                            gender=gender,
-                            source=Source.AUTHOR_METADATA,
-                            record_id=record.record_id,
-                        )
-            stats.update(
-                records_read=records_read,
-                records_failed_english_filter=filtered,
-                records_kept=records_read - filtered,
-                records_author_unknown=author_unknown,
-                matches_total=matches_total,
-                occurrences_attributed=attributed,
-            )
-
-        counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
-        return counts, stats, ids
+                attributed += len(found)
+                for pidx, _, _ in found:
+                    c = canon[pidx]
+                    if not (config.dedup and c in seen):
+                        seen.add(c)
+                        tally[c] += 1
+        return _counts(pids, m, f), dict(
+            records_read=records_read,
+            records_failed_english_filter=filtered,
+            records_kept=records_read - filtered,
+            records_author_unknown=author_unknown,
+            matches_total=matches_total,
+            occurrences_attributed=attributed,
+        ), ids
 
     return config.tweet_corpus, ANY_LINE, score_lines
 
@@ -249,12 +257,16 @@ def _score_documents(config: RunConfig, actions, lexicon):
     tag_map = _tag_map(config)
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
     automaton = compile_phrases(actions) if actions else None
+    index, pids = _phrase_index(actions)
     path = str(config.document_corpus)
     plain = config.document_format == "plain"
 
     def score_lines(lines):
+        # a ``#doc`` id may repeat later in the shard, so dedup spans it;
+        # find_matches' (start, phrase id, end) order picks the first to win
         ids: set[str] = set()
-        stats: dict[str, int] = {}
+        m, f = [0] * len(pids), [0] * len(pids)
+        seen: set[tuple[int, str]] = set()
         if plain:
             records = (
                 DocumentRecord(record_id=f"line{i}", sentences=(sentence,))
@@ -262,40 +274,36 @@ def _score_documents(config: RunConfig, actions, lexicon):
             )
         else:
             records = parse_document_records(lines, tag_map, path=path)
-
-        def occurrences():
-            records_read = sentences_read = matches_total = unattributed = attributed = 0
-            for record in records:
-                records_read += 1
-                if not plain:  # a plain id numbers a line within its shard, never a repeat
-                    ids.add(record.record_id)
-                for sentence in record.sentences:
-                    sentences_read += 1
-                    if automaton is None:
+        records_read = sentences_read = matches_total = unattributed = attributed = 0
+        for record in records:
+            records_read += 1
+            if not plain:  # a plain id numbers a line within its shard, never a repeat
+                ids.add(record.record_id)
+            for sentence in record.sentences:
+                sentences_read += 1
+                if automaton is None:
+                    continue
+                for match in find_matches(sentence, automaton):
+                    matches_total += 1
+                    gender = attribute_by_context(sentence, match, lexicon, pronouns)
+                    if gender is Gender.UNKNOWN:
+                        unattributed += 1
                         continue
-                    for match in find_matches(sentence, automaton):
-                        matches_total += 1
-                        gender = attribute_by_context(sentence, match, lexicon, pronouns)
-                        if gender is Gender.UNKNOWN:
-                            unattributed += 1
+                    attributed += 1
+                    c = index[match.phrase_id]
+                    if config.dedup:
+                        key = (c, record.record_id)
+                        if key in seen:
                             continue
-                        attributed += 1
-                        yield GenderedOccurrence(
-                            phrase_id=match.phrase_id,
-                            gender=gender,
-                            source=Source.CONTEXT_HEURISTIC,
-                            record_id=record.record_id,
-                        )
-            stats.update(
-                records_read=records_read,
-                sentences_read=sentences_read,
-                matches_total=matches_total,
-                matches_unattributed=unattributed,
-                occurrences_attributed=attributed,
-            )
-
-        counts, _ = aggregate(occurrences(), dedup_per_record=config.dedup)
-        return counts, stats, ids
+                        seen.add(key)
+                    (m if gender is Gender.MALE else f)[c] += 1
+        return _counts(pids, m, f), dict(
+            records_read=records_read,
+            sentences_read=sentences_read,
+            matches_total=matches_total,
+            matches_unattributed=unattributed,
+            occurrences_attributed=attributed,
+        ), ids
 
     return config.document_corpus, ANY_LINE if plain else DOC_HEADER_CUT, score_lines
 

@@ -7,7 +7,7 @@ adjacent continuation is preferred over the one-gap continuation);
 matches at distinct start positions are all reported, overlaps
 included.
 
-``compile_phrases`` builds a trie over interned lemma ids once,
+``compile_phrases`` builds a trie over lemma strings once,
 ``find_matches`` walks it for each sentence, and
 ``brute_force_matches`` is the exhaustive reference the tests compare
 it against.
@@ -41,23 +41,17 @@ class Match:
 
 @dataclass(frozen=True, slots=True)
 class PhraseAutomaton:
-    """The phrase set as a trie over interned lemma ids.
+    """The phrase set as a trie over lemma strings.
 
-    Node 0 is the root; ``children[node]`` maps a lemma id to the next
-    node and ``terminals[node]`` holds the indexes into ``phrases`` of
-    the phrases that end there.  Never changed after compilation, so
-    forked workers share it as is.
+    Node 0 is the root; ``children[node]`` maps a lemma to the next node
+    and ``terminals[node]`` holds the indexes into ``phrases`` of the
+    phrases that end there.  Never changed after compilation, so forked
+    workers share it as is.
     """
 
     phrases: tuple[ActionPhrase, ...]
-    vocab: dict[str, int]
-    children: list[dict[int, int]]
+    children: list[dict[str, int]]
     terminals: list[tuple[int, ...]]
-
-    def encode(self, lemmas: Sequence[str]) -> list[int]:
-        """Map lemmas to interned ids; out-of-vocabulary lemmas get -1."""
-        vocab = self.vocab
-        return [vocab.get(lemma, -1) for lemma in lemmas]
 
 
 def compile_phrases(phrases: Sequence[ActionPhrase]) -> PhraseAutomaton:
@@ -68,32 +62,29 @@ def compile_phrases(phrases: Sequence[ActionPhrase]) -> PhraseAutomaton:
     """
     if not phrases:
         raise ConfigError("cannot compile an empty phrase list")
-    vocab: dict[str, int] = {}
-    children: list[dict[int, int]] = [{}]
+    children: list[dict[str, int]] = [{}]
     terminals: list[list[int]] = [[]]
     for pidx, phrase in enumerate(phrases):
         node = 0
         for lemma in phrase.lemmas:
-            lid = vocab.setdefault(lemma, len(vocab))
-            nxt = children[node].get(lid)
+            nxt = children[node].get(lemma)
             if nxt is None:
                 nxt = len(children)
-                children[node][lid] = nxt
+                children[node][lemma] = nxt
                 children.append({})
                 terminals.append([])
             node = nxt
         terminals[node].append(pidx)
     return PhraseAutomaton(
         phrases=tuple(phrases),
-        vocab=vocab,
         children=children,
         terminals=[tuple(t) for t in terminals],
     )
 
 
-def _match_ids(automaton: PhraseAutomaton, ids: list[int]) -> list[tuple[int, int, int]]:
-    """(phrase index, start, end) of every greedy match in a sentence of
-    lemma ids.
+def _match_ids(automaton: PhraseAutomaton, lemmas: Sequence[str]) -> list[tuple[int, int, int]]:
+    """(phrase index, start, end) of every greedy match in a sentence's
+    lemmas, by start position.
 
     A depth-first search from each start position reports the first
     complete alignment it finds per phrase.  The gap branch is pushed
@@ -103,13 +94,10 @@ def _match_ids(automaton: PhraseAutomaton, ids: list[int]) -> list[tuple[int, in
     children = automaton.children
     terminals = automaton.terminals
     root = children[0]
-    n = len(ids)
+    n = len(lemmas)
     out: list[tuple[int, int, int]] = []
     for start in range(n):
-        tid = ids[start]
-        if tid < 0:
-            continue
-        node = root.get(tid)
+        node = root.get(lemmas[start])
         if node is None:
             continue
         seen: set[int] = set()
@@ -125,12 +113,12 @@ def _match_ids(automaton: PhraseAutomaton, ids: list[int]) -> list[tuple[int, in
                 continue
             gap_pos = pos + 2
             if gap_pos < n:
-                nxt = kids.get(ids[gap_pos])
+                nxt = kids.get(lemmas[gap_pos])
                 if nxt is not None:
                     stack.append((nxt, gap_pos))
             adj_pos = pos + 1
             if adj_pos < n:
-                nxt = kids.get(ids[adj_pos])
+                nxt = kids.get(lemmas[adj_pos])
                 if nxt is not None:
                     stack.append((nxt, adj_pos))
     return out
@@ -142,7 +130,7 @@ def find_matches(
     """All greedy phrase occurrences in one sentence, ordered by start
     position then phrase id.  Matching never crosses the sentence
     boundary and looks only at lemmas; POS plays no role here."""
-    raw = _match_ids(automaton, automaton.encode(sentence.lemmas()))
+    raw = _match_ids(automaton, sentence.lemmata)
     phrases = automaton.phrases
     matches = [
         Match(

@@ -280,6 +280,8 @@ def parse_score_table(
             raise CorpusFormatError(
                 f"bad numeric field: {exc}", line_no=line_no, path=path
             ) from None
+        if pid in texts:
+            raise CorpusFormatError(f"duplicate phrase_id {pid!r}", line_no=line_no, path=path)
         scores.append(BiasScore(phrase_id=pid, m=m, f=f, raw=raw, s=s, z=z))
         texts[pid] = text
     return scores, texts

@@ -69,11 +69,10 @@ def test_matcher_oracle_equivalence():
             phrases.append(phrase(" ".join(combo), f"p{len(phrases):03d}"))
     assert len(phrases) == 117
     automaton = compile_phrases(phrases)
-    assert automaton.vocab == {"a": 0, "b": 1, "c": 2}
 
     # A match starting at position i can span at most 2*4 - 1 tokens, so it is
     # fully determined by the 7-token window at i.  Build an anchored oracle
-    # table over every window once, then sweep all sentences in id space.
+    # table over every window once, then sweep the kernel over all sentences.
     table: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
     for wlen in range(8):
         for win in product(range(3), repeat=wlen):
@@ -112,13 +111,13 @@ def test_matcher_oracle_equivalence():
                 for idx, end in table[s[i : i + 7]]
             ]
             expected.sort()
-            got = kernel(automaton, list(s))
+            got = kernel(automaton, [syms[i] for i in s])
             got.sort()
             if got != expected and first_bad is None:
                 first_bad = (s, got, expected)
             checked += 1
 
-    # the public wrapper (encode, id mapping, ordering) on top of the kernel
+    # the public wrapper (phrase ids, ordering) on top of the kernel
     for length in range(1, 8):
         for s in product(range(3), repeat=length):
             sentence = sent(*(syms[i] for i in s))

@@ -283,6 +283,22 @@ def test_evaluate_single_table(tmp_path):
     assert not (out / "scatter.tsv").exists()
 
 
+def test_evaluate_rejects_a_repeated_phrase_id(tmp_path):
+    text = read(EXPECTED / "tweet_scores.tsv")
+    table = tmp_path / "tweet_scores.tsv"
+    table.write_text(text + text.splitlines()[1] + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(
+            ["evaluate", "--config", CFG, "--output-dir", str(out),
+             "--scores", str(table), "--gold", str(FIXTURES / "gold.tsv")]
+        )
+    assert rc == 1
+    assert err.getvalue() == f"error: {table}:13: duplicate phrase_id 'c01'\n"
+    assert not out.exists()
+
+
 def test_evaluate_requires_exactly_one_gold_source(tmp_path):
     out = tmp_path / "out"
     assert main(eval_args(out)) == 1

@@ -143,9 +143,11 @@ def test_compile_empty_is_an_error():
         compile_phrases([])
 
 
-def test_encode_marks_oov_as_negative(automaton):
-    ids = automaton.encode(("become", "zzkx", "nurse"))
-    assert ids[0] >= 0 and ids[2] >= 0 and ids[1] == -1
+def test_out_of_vocabulary_lemma_fills_one_gap_only():
+    automaton = compile_phrases([phrase("become nurse")])
+    got = find_matches(sent("become", "zzkx", "nurse"), automaton)
+    assert spans(got) == [("become nurse", 0, 3)]
+    assert find_matches(sent("become", "zzkx", "qqvx", "nurse"), automaton) == []
 
 
 # --- oracle agreement ---------------------------------------------------------

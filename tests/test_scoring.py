@@ -320,6 +320,12 @@ def test_counts_table_rejects_duplicates():
     assert "duplicate" in str(exc.value)
 
 
+def test_score_table_rejects_duplicates():
+    row = "a\tx\t1\t0\t1.0\t0.5\t\n"
+    with pytest.raises(CorpusFormatError, match=r"^s\.tsv:3: duplicate phrase_id 'a'$"):
+        parse_score_table(io.StringIO("# h\n" + row + row), path="s.tsv")
+
+
 def test_counts_table_rejects_negative_and_garbage():
     with pytest.raises(CorpusFormatError):
         parse_counts_table(io.StringIO("a\tx\t-1\t0\n"))

@@ -13,7 +13,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stereomine import cli, shards
-from stereomine.corpus_io import DOC_HEADER, DOC_HEADER_CUT
+from stereomine.attribution import (
+    DEFAULT_PRONOUNS,
+    EXTENDED_PRONOUNS,
+    GenderedOccurrence,
+    Source,
+    attribute_by_author,
+    attribute_by_context,
+)
+from stereomine.corpus_io import (
+    DOC_HEADER,
+    DOC_HEADER_CUT,
+    EnglishFilterConfig,
+    default_tag_map,
+    load_wordlist,
+    parse_document_records,
+    parse_tweet_stream,
+    passes_english_filter,
+)
+from stereomine.errors import open_text
+from stereomine.lexicons import ActionPhrase, Gender, guess_gender, load_name_lexicon
+from stereomine.matcher import compile_phrases, find_matches
+from stereomine.scoring import aggregate, parse_counts_table
 from stereomine.shards import ANY_LINE, open_range, run_forked, split_ranges
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -200,7 +221,7 @@ fault = st.sampled_from([None, None, "bad token", "duplicate id", "non-utf8"])
 
 
 @st.composite
-def tweet_corpus(draw):
+def tweet_corpus(draw, faults=fault, sentence=sentence):
     records = draw(
         st.lists(
             st.tuples(
@@ -213,7 +234,7 @@ def tweet_corpus(draw):
         )
     )
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    kind, at = draw(fault), draw(st.integers(0, len(records) - 1))
+    kind, at = draw(faults), draw(st.integers(0, len(records) - 1))
     lines, line_of = [], []
     for i, (author, sentences, blank) in enumerate(records):
         record_id = f"t{i}"
@@ -234,7 +255,7 @@ def tweet_corpus(draw):
 
 
 @st.composite
-def document_corpus(draw):
+def document_corpus(draw, faults=fault, sentence=sentence):
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = []
 
@@ -251,7 +272,7 @@ def document_corpus(draw):
         add_sentences()
     if not lines:
         lines.append("#doc z")
-    kind, at = draw(fault), draw(st.integers(0, len(lines) - 1))
+    kind, at = draw(faults), draw(st.integers(0, len(lines) - 1))
     if kind == "bad token":
         lines.insert(at, "w\tNN")
     data = (newline.join(lines) + newline).encode("utf-8")
@@ -270,19 +291,25 @@ def plain_corpus(draw):
     return data, {"dedup": draw(st.booleans()), "document_format": "plain"}
 
 
-def check_shard_counts_agree(kind, corpus, lexdir):
+def write_run(tmp, kind, corpus, lexdir):
+    """The drawn corpus and a config naming it with the drawn keys."""
     data, keys = corpus
+    corpus_path = tmp / "corpus"
+    corpus_path.write_bytes(data)
+    key = "tweet_corpus" if kind == "tweet" else "document_corpus"
+    cfg = tmp / "run.cfg"
+    cfg.write_text(
+        f"{key} = {corpus_path}\nwordlist = {lexdir / 'wordlist.txt'}\n"
+        + "".join(f"{k} = {str(v).lower()}\n" for k, v in keys.items()),
+        encoding="utf-8",
+    )
+    return corpus_path, cfg
+
+
+def check_shard_counts_agree(kind, corpus, lexdir):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        corpus_path = tmp / "corpus"
-        corpus_path.write_bytes(data)
-        key = "tweet_corpus" if kind == "tweet" else "document_corpus"
-        cfg = tmp / "run.cfg"
-        cfg.write_text(
-            f"{key} = {corpus_path}\nwordlist = {lexdir / 'wordlist.txt'}\n"
-            + "".join(f"{k} = {str(v).lower()}\n" for k, v in keys.items()),
-            encoding="utf-8",
-        )
+        corpus_path, cfg = write_run(tmp, kind, corpus, lexdir)
         reference = run_score(kind, cfg, lexdir, tmp / "reference")
         for count in (1, 2, 3, 7):
             assert run_score(kind, cfg, lexdir, tmp / f"out{count}", count) == reference, count
@@ -311,3 +338,120 @@ def test_vertical_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
 @given(corpus=plain_corpus())
 def test_plain_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
     check_shard_counts_agree("document", corpus, lexdir)
+
+
+# --- the tally against the per-occurrence library path ------------------------
+
+# A1 names two actions; A3 and A4 are one lemma sequence under two ids
+TALLY_ACTIONS = [
+    ("A1", "make money"), ("A1", "cook dinner"), ("A2", "fix car"),
+    ("A3", "walk dog"), ("A4", "walk dog"),
+]
+# sentences built from whole phrases too, some after a gendered word, so
+# that most records hold attributable matches and a dedup key often repeats
+PHRASE_CHUNKS = [[t] for t in TOKENS] + [
+    [next(t for t in TOKENS if t[0] == word) for word in text.split()]
+    for text in ("make money", "cook the dinner", "fix car", "walk dog",
+                 "He made money", "Mary walk dog", "she cook the dinner")
+]
+phrase_sentence = st.lists(st.sampled_from(PHRASE_CHUNKS), min_size=1, max_size=4).map(
+    lambda chunks: [t for chunk in chunks for t in chunk]
+)
+
+
+@pytest.fixture(scope="module")
+def tally_lexdir(tmp_path_factory, lexdir):
+    out = tmp_path_factory.mktemp("tally-lexicons")
+    rows = "".join(f"{pid}\t{text}\n" for pid, text in TALLY_ACTIONS)
+    (out / "actions.tsv").write_text("# phrase_id\tphrase_text\n" + rows, encoding="utf-8")
+    for name in ("names_male.txt", "names_female.txt", "wordlist.txt"):
+        (out / name).write_bytes((lexdir / name).read_bytes())
+    return out
+
+
+def library_reference(kind, corpus_path, keys, lexdir):
+    """Counts and count manifest of a ``score`` run, rebuilt one occurrence
+    object at a time: ``find_matches``, then ``attribute_by_author`` or
+    ``attribute_by_context``, then ``aggregate``."""
+    automaton = compile_phrases(
+        [ActionPhrase(lemmas=tuple(text.split()), source_id=pid) for pid, text in TALLY_ACTIONS]
+    )
+    lexicon = load_name_lexicon(lexdir / "names_male.txt", lexdir / "names_female.txt")
+    stats = dict.fromkeys(
+        ["records_read", "records_failed_english_filter", "records_kept",
+         "records_author_unknown", "matches_total", "occurrences_attributed"]
+        if kind == "tweet"
+        else ["records_read", "sentences_read", "matches_total",
+              "matches_unattributed", "occurrences_attributed"],
+        0,
+    )
+    occurrences = []
+    with open_text(corpus_path) as lines:
+        if kind == "tweet":
+            english = EnglishFilterConfig(wordlist=load_wordlist(lexdir / "wordlist.txt"))
+            for record in parse_tweet_stream(lines, default_tag_map()):
+                stats["records_read"] += 1
+                if not passes_english_filter(record, english):
+                    stats["records_failed_english_filter"] += 1
+                    continue
+                stats["records_kept"] += 1
+                if guess_gender(record.author_first_name, lexicon) is Gender.UNKNOWN:
+                    stats["records_author_unknown"] += 1
+                matches = [m for s in record.sentences for m in find_matches(s, automaton)]
+                stats["matches_total"] += len(matches)
+                found = attribute_by_author(record, matches, lexicon)
+                stats["occurrences_attributed"] += len(found)
+                occurrences.extend(found)
+        else:
+            pronouns = EXTENDED_PRONOUNS if keys["extended_pronouns"] else DEFAULT_PRONOUNS
+            for record in parse_document_records(lines, default_tag_map()):
+                stats["records_read"] += 1
+                for sentence in record.sentences:
+                    stats["sentences_read"] += 1
+                    for match in find_matches(sentence, automaton):
+                        stats["matches_total"] += 1
+                        gender = attribute_by_context(sentence, match, lexicon, pronouns)
+                        if gender is Gender.UNKNOWN:
+                            stats["matches_unattributed"] += 1
+                            continue
+                        stats["occurrences_attributed"] += 1
+                        occurrences.append(
+                            GenderedOccurrence(
+                                match.phrase_id, gender, Source.CONTEXT_HEURISTIC, record.record_id
+                            )
+                        )
+    counts, ctx = aggregate(occurrences, dedup_per_record=keys["dedup"])
+    stats.update(
+        dedup=str(keys["dedup"]).lower(),
+        occurrences_male=ctx.M,
+        occurrences_female=ctx.F,
+        phrases_observed=len(counts),
+    )
+    return {pid: (c.m, c.f) for pid, c in counts.items()}, {k: str(v) for k, v in stats.items()}
+
+
+def check_tally_matches_library(kind, corpus, lexdir):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus_path, cfg = write_run(tmp, kind, corpus, lexdir)
+        counts, manifest = library_reference(kind, corpus_path, corpus[1], lexdir)
+        for count in (1, 3):
+            rc, files, err = run_score(kind, cfg, lexdir, tmp / f"out{count}", count)
+            assert rc in (0, 2), err
+            got, _ = parse_counts_table(files[f"{kind}_counts.tsv"].decode("utf-8").splitlines())
+            assert {pid: (c.m, c.f) for pid, c in got.items()} == counts, count
+            lines = files[f"{kind}_manifest.tsv"].decode("utf-8").splitlines()
+            got_manifest = dict(line.split("\t") for line in lines)
+            assert {k: got_manifest[k] for k in manifest} == manifest, count
+
+
+@SHARD_SETTINGS
+@given(corpus=tweet_corpus(faults=st.none(), sentence=phrase_sentence))
+def test_tweet_tally_equals_the_per_occurrence_path(corpus, tally_lexdir):
+    check_tally_matches_library("tweet", corpus, tally_lexdir)
+
+
+@SHARD_SETTINGS
+@given(corpus=document_corpus(faults=st.none(), sentence=phrase_sentence))
+def test_vertical_tally_equals_the_per_occurrence_path(corpus, tally_lexdir):
+    check_tally_matches_library("document", corpus, tally_lexdir)
