@@ -203,7 +203,7 @@ def _score_tweets(config: RunConfig, actions, lexicon):
     english = EnglishFilterConfig(
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
     )
-    automaton = compile_phrases(actions) if actions else None
+    automaton = compile_phrases(actions)
     index, pids = _phrase_index(actions)
     canon = [index[action.source_id] for action in actions]
     path = str(config.tweet_corpus)
@@ -222,8 +222,6 @@ def _score_tweets(config: RunConfig, actions, lexicon):
             gender = guess_gender(record.author_first_name, lexicon)
             if gender is Gender.UNKNOWN:
                 author_unknown += 1
-            if automaton is None:
-                continue
             tally = m if gender is Gender.MALE else f
             seen: set[int] = set()
             for sentence in record.sentences:
@@ -256,7 +254,7 @@ def _score_documents(config: RunConfig, actions, lexicon):
     _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
-    automaton = compile_phrases(actions) if actions else None
+    automaton = compile_phrases(actions)
     index, pids = _phrase_index(actions)
     path = str(config.document_corpus)
     plain = config.document_format == "plain"
@@ -281,8 +279,6 @@ def _score_documents(config: RunConfig, actions, lexicon):
                 ids.add(record.record_id)
             for sentence in record.sentences:
                 sentences_read += 1
-                if automaton is None:
-                    continue
                 for match in find_matches(sentence, automaton):
                     matches_total += 1
                     gender = attribute_by_context(sentence, match, lexicon, pronouns)
@@ -393,11 +389,7 @@ def cmd_score(config: RunConfig, kind: str) -> int:
 
 
 def cmd_evaluate(
-    config: RunConfig,
-    score_paths: list[Path],
-    gold_path: Path | None,
-    ratings_path: Path | None,
-    half_credit_ties: bool = False,
+    config: RunConfig, score_paths: list[Path], gold_path: Path | None, ratings_path: Path | None
 ) -> int:
     if not 1 <= len(score_paths) <= 2:
         raise ConfigError("evaluate takes one or two score tables")
@@ -434,10 +426,7 @@ def cmd_evaluate(
         methods.append(("matching_signs", matching_signs_filter(preds_a, preds_b)))
         artifacts["scatter.tsv"] = format_scatter(preds_a, preds_b, gold, phrase_texts)
 
-    reports = [
-        evaluate_method(name, predictions, gold, half_credit_ties=half_credit_ties)
-        for name, predictions in methods
-    ]
+    reports = [evaluate_method(name, predictions, gold) for name, predictions in methods]
 
     labeled = [g for g in gold if g.mean_score != 0.0]
     manifest = [
@@ -515,7 +504,7 @@ def cmd_sanity(config: RunConfig, probes_path: Path) -> int:
     return 0
 
 
-def cmd_merge_counts(config: RunConfig, counts_paths: list[Path], out_stem: str) -> int:
+def cmd_merge_counts(config: RunConfig, counts_paths: list[Path]) -> int:
     partials = []
     phrase_texts: dict[str, str] = {}
     for p in counts_paths:
@@ -530,9 +519,9 @@ def cmd_merge_counts(config: RunConfig, counts_paths: list[Path], out_stem: str)
     merged, ctx = merge_counts(partials)
     scores = score_counts(merged, ctx, config.min_occurrences) if merged else []
     artifacts = {
-        f"{out_stem}_counts.tsv": format_counts_table(merged, phrase_texts),
-        f"{out_stem}_scores.tsv": format_score_table(scores, phrase_texts),
-        f"{out_stem}_manifest.tsv": _manifest(
+        "merged_counts.tsv": format_counts_table(merged, phrase_texts),
+        "merged_scores.tsv": format_score_table(scores, phrase_texts),
+        "merged_manifest.tsv": _manifest(
             [
                 ("inputs", len(counts_paths)),
                 ("phrases_merged", len(merged)),
@@ -577,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", type=Path, nargs="+", required=True, metavar="TABLE")
     p.add_argument("--gold", type=Path, default=None, help="aggregated gold file")
     p.add_argument("--ratings", type=Path, default=None, help="raw ratings to aggregate into gold")
-    p.add_argument("--half-credit-ties", action="store_true", help="score threshold ties as 0.5 instead of 0")
 
     p = sub.add_parser("sanity", help="balanced-sample user proportions for probe phrases")
     add_common(p)
@@ -586,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("merge-counts", help="merge partition count tables and rescore")
     add_common(p)
     p.add_argument("counts", type=Path, nargs="+", help="count tables from per-partition runs")
-    p.add_argument("--out-stem", default="merged", help="artifact name prefix")
 
     return parser
 
@@ -601,12 +588,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "score":
             return cmd_score(config, args.kind)
         if args.command == "evaluate":
-            return cmd_evaluate(
-                config, args.scores, args.gold, args.ratings, args.half_credit_ties
-            )
+            return cmd_evaluate(config, args.scores, args.gold, args.ratings)
         if args.command == "sanity":
             return cmd_sanity(config, args.probes)
-        return cmd_merge_counts(config, args.counts, args.out_stem)
+        return cmd_merge_counts(config, args.counts)
     except (ConfigError, CorpusFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

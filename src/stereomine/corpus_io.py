@@ -101,7 +101,7 @@ class DocumentRecord:
 @dataclass(frozen=True)
 class EnglishFilterConfig:
     wordlist: frozenset[str]
-    max_nonenglish_ratio: float = 0.20
+    max_nonenglish_ratio: float
 
     def __post_init__(self):
         if not self.wordlist:
@@ -169,7 +169,7 @@ def default_wordlist() -> frozenset[str]:
 
 
 def parse_document_stream(
-    lines: Iterable[str], tag_map: dict[str, str] | None = None, path=None
+    lines: Iterable[str], tag_map: dict[str, str], path=None
 ) -> Iterator[Sentence]:
     """Stream sentences out of a vertical-format document file.
 
@@ -182,7 +182,7 @@ def parse_document_stream(
 
 
 def parse_document_records(
-    lines: Iterable[str], tag_map: dict[str, str] | None = None, path=None
+    lines: Iterable[str], tag_map: dict[str, str], path=None
 ) -> Iterator[DocumentRecord]:
     """Group a vertical file's sentences into per-``#doc`` records.
 
@@ -209,7 +209,7 @@ def parse_document_records(
 
 def _parse_vertical(lines, tag_map, path):
     """Yield (doc_id, Sentence) pairs; doc_id is None before any #doc line."""
-    tag_of = (default_tag_map() if tag_map is None else tag_map).get
+    tag_of = tag_map.get
     doc_id = pending_doc = None
     surfaces, tags, lemmas = [], [], []
     for line_no, raw in enumerate(lines, start=1):
@@ -272,7 +272,7 @@ def format_sentence(sentence: Sentence) -> str:
 
 
 def parse_tweet_stream(
-    lines: Iterable[str], tag_map: dict[str, str] | None = None, path=None
+    lines: Iterable[str], tag_map: dict[str, str], path=None
 ) -> Iterator[TweetRecord]:
     """Stream tweet records, one per input line.
 
@@ -280,7 +280,7 @@ def parse_tweet_stream(
     the name field, lowercased.  Record ids must be unique within the
     file.
     """
-    tag_of = (default_tag_map() if tag_map is None else tag_map).get
+    tag_of = tag_map.get
     seen_ids: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")

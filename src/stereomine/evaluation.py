@@ -3,8 +3,8 @@
 Human raters score each phrase on a 5-point scale from -2 (typically
 feminine) to +2 (typically masculine), with an extra "X" answer for
 phrases they consider meaningless.  Aggregation keeps phrases rated by
-at least five raters whose modal answer is numeric, and averages the
-numeric answers.
+at least ``MIN_RATERS`` raters whose modal answer is numeric, and
+averages the numeric answers.
 
 The metrics (Spearman, ROC AUC, sign accuracy, coverage) are written
 from scratch over plain Python floats; the test suite holds independent
@@ -26,6 +26,7 @@ from .lexicons import ActionPhrase, Gender, NameGenderLexicon, guess_gender
 from .matcher import compile_phrases, find_matches
 
 MEANINGLESS = "X"
+MIN_RATERS = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +53,8 @@ class GoldRating:
     def __post_init__(self):
         if not -2.0 <= self.mean_score <= 2.0:
             raise ValueError(f"gold mean out of range: {self.mean_score!r}")
-        if self.n_raters < 5:
-            raise ValueError(f"gold entries need >= 5 raters, got {self.n_raters}")
+        if self.n_raters < MIN_RATERS:
+            raise ValueError(f"gold entries need >= {MIN_RATERS} raters, got {self.n_raters}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,11 @@ def load_ratings(path) -> list[RawRating]:
 
 
 def aggregate_gold(
-    ratings: Iterable[RawRating],
-    phrase_texts: Mapping[str, str] | None = None,
-    min_raters: int = 5,
+    ratings: Iterable[RawRating], phrase_texts: Mapping[str, str] | None = None
 ) -> list[GoldRating]:
     """Aggregate raw ratings into per-phrase gold means.
 
-    A phrase survives when it has at least ``min_raters`` ratings and
+    A phrase survives when it has at least ``MIN_RATERS`` ratings and
     its modal answer is numeric.  A tie between the meaningless answer
     and a numeric one keeps the phrase.  The mean is taken over numeric
     answers only; n_raters counts every rating, meaningless included.
@@ -120,7 +119,7 @@ def aggregate_gold(
     out: list[GoldRating] = []
     for pid in sorted(by_phrase):
         values = by_phrase[pid]
-        if len(values) < min_raters:
+        if len(values) < MIN_RATERS:
             continue
         counts = Counter(values)
         numeric = [v for v in values if v is not None]
@@ -223,18 +222,10 @@ def roc_auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return u / (n_pos * n_neg)
 
 
-def sign_accuracy(
-    predictions: Mapping[str, float],
-    gold: Sequence[GoldRating],
-    threshold: float = 0.0,
-    half_credit_ties: bool = False,
-) -> float:
-    """Fraction of nonzero-mean gold phrases whose prediction falls on
-    the right side of the threshold.
-
-    Predictions exactly at the threshold score 0 unless
-    ``half_credit_ties`` grants them 0.5.
-    """
+def sign_accuracy(predictions: Mapping[str, float], gold: Sequence[GoldRating]) -> float:
+    """Fraction of the nonzero-mean gold phrases with a prediction whose
+    prediction has the gold sign; a prediction of exactly 0 has no sign
+    and counts as wrong."""
     evaluable = [
         (predictions[g.phrase_id], g.mean_score)
         for g in gold
@@ -244,13 +235,8 @@ def sign_accuracy(
         raise DegenerateDataError(
             "accuracy undefined: no gold phrase has both a nonzero mean and a prediction"
         )
-    score = 0.0
-    for pred, mean in evaluable:
-        if pred == threshold:
-            score += 0.5 if half_credit_ties else 0.0
-        elif (pred > threshold) == (mean > 0):
-            score += 1.0
-    return score / len(evaluable)
+    right = sum(1 for pred, mean in evaluable if pred != 0.0 and (pred > 0) == (mean > 0))
+    return right / len(evaluable)
 
 
 def coverage(
@@ -264,10 +250,7 @@ def coverage(
 
 
 def evaluate_method(
-    method_name: str,
-    predictions: Mapping[str, float],
-    gold: Sequence[GoldRating],
-    half_credit_ties: bool = False,
+    method_name: str, predictions: Mapping[str, float], gold: Sequence[GoldRating]
 ) -> EvalReport:
     """One report row: rank correlation over covered phrases, AUC and
     accuracy over the sign-labeled (nonzero-mean) subset, coverage over
@@ -287,7 +270,7 @@ def evaluate_method(
         [predictions[g.phrase_id] for g in labeled],
         [g.mean_score > 0 for g in labeled],
     )
-    acc = sign_accuracy(predictions, gold, half_credit_ties=half_credit_ties)
+    acc = sign_accuracy(predictions, gold)
     return EvalReport(
         method_name=method_name,
         spearman=rho,
@@ -329,7 +312,7 @@ def sanity_proportions(
         for text, lemmas in probe_specs
         if len(lemmas) >= 2
     ]
-    automaton = compile_phrases(multi) if multi else None
+    automaton = compile_phrases(multi)
     singles = [(text, lemmas[0]) for text, lemmas in probe_specs if len(lemmas) == 1]
 
     genders: dict[str, Gender] = {}
@@ -342,9 +325,8 @@ def sanity_proportions(
         genders[user] = gender
         hit = mentions.setdefault(user, set())
         for sentence in record.sentences:
-            if automaton is not None:
-                for match in find_matches(sentence, automaton):
-                    hit.add(match.phrase_id)
+            for match in find_matches(sentence, automaton):
+                hit.add(match.phrase_id)
             if singles:
                 lemma_set = set(sentence.lemmas())
                 for text, lemma in singles:

@@ -75,6 +75,10 @@ def read_name_list(path) -> dict[str, int | None]:
                 raise CorpusFormatError(
                     f"name must be a single token, got {parts[0]!r}", line_no=line_no, path=path
                 )
+            if len(parts) > 2:
+                raise CorpusFormatError(
+                    f"expected name<TAB>count, got {len(parts)} fields", line_no=line_no, path=path
+                )
             count: int | None = None
             if len(parts) > 1 and parts[1].strip():
                 try:
@@ -133,22 +137,18 @@ def load_tag_counts(path) -> dict[str, dict[str, int]]:
 
 def build_verb_lexicon(
     tag_counts: Mapping[str, Mapping[str, int]],
-    dominance_ratio: float = 2.0,
-    tag_map: Mapping[str, str] | None = None,
+    dominance_ratio: float,
+    tag_map: Mapping[str, str],
 ) -> VerbLexicon:
     """Keep the lemmas whose verb-tag count strictly dominates.
 
-    A lemma enters the lexicon iff the sum of its verb-tag counts
-    exceeds ``dominance_ratio`` times its largest single non-verb tag
-    count.  A lemma never tagged as a verb is never included.
+    A tag is a verb tag when ``tag_map`` maps it to ``VERB``.  A lemma
+    enters the lexicon iff the sum of its verb-tag counts exceeds
+    ``dominance_ratio`` times its largest single non-verb tag count.  A
+    lemma never tagged as a verb is never included.
     """
-    if dominance_ratio < 1.0:
+    if not dominance_ratio >= 1.0:  # also rejects nan
         raise ConfigError(f"dominance_ratio must be >= 1, got {dominance_ratio}")
-
-    def is_verb_tag(tag: str) -> bool:
-        if tag_map is not None:
-            return tag_map.get(tag, "") == VERB
-        return tag == VERB
 
     verbs = set()
     for lemma, per_tag in tag_counts.items():
@@ -157,7 +157,7 @@ def build_verb_lexicon(
         for tag, count in per_tag.items():
             if count < 0:
                 raise ConfigError(f"negative count for {lemma!r}/{tag!r}")
-            if is_verb_tag(tag):
+            if tag_map.get(tag) == VERB:
                 verb_total += count
             elif count > nonverb_max:
                 nonverb_max = count

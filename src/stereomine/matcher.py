@@ -20,7 +20,6 @@ from itertools import product
 from typing import Sequence
 
 from .corpus_io import Sentence
-from .errors import ConfigError
 from .lexicons import ActionPhrase
 
 
@@ -59,9 +58,8 @@ def compile_phrases(phrases: Sequence[ActionPhrase]) -> PhraseAutomaton:
 
     Duplicate lemma sequences share one trie path but keep their own
     phrase entries, so every input phrase is reported independently.
+    An empty list compiles to the bare root, which matches nothing.
     """
-    if not phrases:
-        raise ConfigError("cannot compile an empty phrase list")
     children: list[dict[str, int]] = [{}]
     terminals: list[list[int]] = [[]]
     for pidx, phrase in enumerate(phrases):

@@ -54,7 +54,9 @@ def test_unknown_author_contributes_nothing(tweet_records, automaton, name_lexic
 
 
 def test_tweet_fixture_totals(tweet_records, automaton, name_lexicon, fixtures):
-    english = EnglishFilterConfig(wordlist=load_wordlist(fixtures / "wordlist.txt"))
+    english = EnglishFilterConfig(
+        wordlist=load_wordlist(fixtures / "wordlist.txt"), max_nonenglish_ratio=0.20
+    )
     occurrences = []
     filtered = 0
     for record in tweet_records:

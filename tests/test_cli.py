@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stereomine.cli import main
+from stereomine.cli import build_parser, main
+from stereomine.config import CONFIG_KEYS
 from stereomine.scoring import parse_counts_table, parse_score_table
 
 from util import read_manifest
@@ -187,6 +190,23 @@ def test_zero_match_corpus(tmp_path, lexdir, capsys):
     assert read(out / "tweet_counts.tsv").startswith("# phrase_id")
     assert len(read(out / "tweet_counts.tsv").splitlines()) == 1
     assert len(read(out / "tweet_scores.tsv").splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["tweet", "document"])
+def test_empty_action_set(tmp_path, lexdir, capsys, kind):
+    empty = tmp_path / "lex"
+    empty.mkdir()
+    for name in ("names_male.txt", "names_female.txt"):
+        (empty / name).write_text(read(lexdir / name), encoding="utf-8")
+    (empty / "actions.tsv").write_text("# phrase_id\tphrase_text\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(score_args(kind, out, empty)) == 0
+    assert "empty" in capsys.readouterr().err
+    for table in ("counts", "scores"):
+        assert len(read(out / f"{kind}_{table}.tsv").splitlines()) == 1
+    manifest = read_manifest(out / f"{kind}_manifest.tsv")
+    assert manifest["matches_total"] == "0"
+    assert manifest["records_read"] != "0"
 
 
 def test_degenerate_single_gender_half(tmp_path, lexdir, capsys):
@@ -451,13 +471,32 @@ def test_unknown_flag_exits_with_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_every_option_and_config_key_is_in_the_readme():
+    readme = read(Path(__file__).parent.parent / "README.md")
+    key_flags = {"--" + key.replace("_", "-") for key in CONFIG_KEYS}
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    undocumented = [
+        f"{name} {option}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option not in key_flags and not re.search(re.escape(option) + r"(?![\w-])", readme)
+    ]
+    assert undocumented == []
+    table = readme.split("## Configuration reference", 1)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    assert [key for key in CONFIG_KEYS if not any(f"`{key}`" in row for row in rows)] == []
+
+
 def test_bad_dominance_ratio_flag(tmp_path):
-    rc = main(
-        ["build-lexicons", "--config", CFG, "--output-dir", str(tmp_path / "o"),
-         "--dominance-ratio", "0.5"]
-    )
-    assert rc == 1
-    assert not (tmp_path / "o").exists()
+    for ratio in ("0.5", "nan"):
+        rc = main(
+            ["build-lexicons", "--config", CFG, "--output-dir", str(tmp_path / "o"),
+             "--dominance-ratio", ratio]
+        )
+        assert rc == 1, ratio
+        assert not (tmp_path / "o").exists()
 
 
 # --- arbitrary and mutated bytes in every file input ------------------------------

@@ -26,6 +26,8 @@ from stereomine.errors import ConfigError, CorpusFormatError
 
 from util import sent
 
+TAG_MAP = default_tag_map()
+
 
 # --- tokens and tags -------------------------------------------------------
 
@@ -180,12 +182,12 @@ def test_tweet_first_name_extraction(tweet_records):
 
 
 def test_tweet_first_name_multiword():
-    (record,) = parse_tweet_stream(["t1\tMary Jane Smith\thi|NN|hi"])
+    (record,) = parse_tweet_stream(["t1\tMary Jane Smith\thi|NN|hi"], TAG_MAP)
     assert record.author_first_name == "mary"
 
 
 def test_tweet_empty_fields():
-    (record,) = parse_tweet_stream(["t1\t\t"])
+    (record,) = parse_tweet_stream(["t1\t\t"], TAG_MAP)
     assert record.author_first_name == ""
     assert record.sentences == ()
 
@@ -193,7 +195,7 @@ def test_tweet_empty_fields():
 def test_tweet_surface_may_contain_pipes():
     # the token chunk splits on the last two pipes only, so emoticon
     # surfaces like :-| survive
-    (record,) = parse_tweet_stream(["t1\tX\t:-||NN|pipeface"])
+    (record,) = parse_tweet_stream(["t1\tX\t:-||NN|pipeface"], TAG_MAP)
     (sentence,) = record.sentences
     assert (sentence.surfaces, sentence.tags, sentence.lemmata) == ((":-|",), (OTHER,), ("pipeface",))
 
@@ -201,19 +203,19 @@ def test_tweet_surface_may_contain_pipes():
 def test_tweet_duplicate_record_id():
     lines = ["t1\tA\thi|NN|hi", "t1\tB\thi|NN|hi"]
     with pytest.raises(CorpusFormatError) as exc:
-        list(parse_tweet_stream(lines, path="tw.tsv"))
+        list(parse_tweet_stream(lines, TAG_MAP, path="tw.tsv"))
     assert "duplicate record_id" in str(exc.value)
     assert "tw.tsv:2:" in str(exc.value)
 
 
 def test_tweet_bad_field_count():
     with pytest.raises(CorpusFormatError):
-        list(parse_tweet_stream(["t1\tonly two fields"]))
+        list(parse_tweet_stream(["t1\tonly two fields"], TAG_MAP))
 
 
 def test_tweet_bad_token_chunk():
     with pytest.raises(CorpusFormatError) as exc:
-        list(parse_tweet_stream(["t1\tA\tnopipes"]))
+        list(parse_tweet_stream(["t1\tA\tnopipes"], TAG_MAP))
     assert "surface|pos|lemma" in str(exc.value)
 
 
@@ -234,9 +236,9 @@ def test_tweet_round_trip_property(sentence_lemmas):
     record_line = "r1\tMary J\t" + " </s> ".join(
         " ".join(f"{w}|NN|{w}" for w in ws) for ws in sentence_lemmas
     )
-    (record,) = parse_tweet_stream([record_line])
+    (record,) = parse_tweet_stream([record_line], TAG_MAP)
     assert [list(s.lemmas()) for s in record.sentences] == sentence_lemmas
-    (again,) = parse_tweet_stream([format_tweet_record(record)])
+    (again,) = parse_tweet_stream([format_tweet_record(record)], TAG_MAP)
     assert again == record
 
 
@@ -246,7 +248,8 @@ WORDS = frozenset({"i", "feel", "good", "and", "the"})
 
 
 def _record(*surfaces):
-    return parse_tweet_stream(["t1\tA\t" + " ".join(f"{s}|NN|{s.lower()}" for s in surfaces)]).__next__()
+    line = "t1\tA\t" + " ".join(f"{s}|NN|{s.lower()}" for s in surfaces)
+    return parse_tweet_stream([line], TAG_MAP).__next__()
 
 
 def test_filter_boundary_is_inclusive():
@@ -270,13 +273,13 @@ def test_filter_passes_without_alphabetic_tokens():
 
 def test_filter_checks_surface_not_lemma():
     config = EnglishFilterConfig(wordlist=WORDS, max_nonenglish_ratio=0.0)
-    (record,) = parse_tweet_stream(["t1\tA\tzzkx|NN|good"])
+    (record,) = parse_tweet_stream(["t1\tA\tzzkx|NN|good"], TAG_MAP)
     assert not passes_english_filter(record, config)
 
 
 def test_filter_config_validation():
     with pytest.raises(ConfigError):
-        EnglishFilterConfig(wordlist=frozenset())
+        EnglishFilterConfig(wordlist=frozenset(), max_nonenglish_ratio=0.20)
     with pytest.raises(ConfigError):
         EnglishFilterConfig(wordlist=WORDS, max_nonenglish_ratio=1.5)
 

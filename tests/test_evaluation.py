@@ -291,12 +291,6 @@ def test_sign_accuracy_threshold_ties():
     gold = gold_of(a=1.0, b=-1.0)
     preds = {"a": 0.0, "b": -1.0}
     assert sign_accuracy(preds, gold) == 0.5
-    assert sign_accuracy(preds, gold, half_credit_ties=True) == 0.75
-
-
-def test_sign_accuracy_custom_threshold():
-    gold = gold_of(a=1.0, b=-1.0)
-    assert sign_accuracy({"a": 0.4, "b": 0.2}, gold, threshold=0.3) == 1.0
 
 
 def test_sign_accuracy_empty_evaluable():

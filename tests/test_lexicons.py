@@ -47,6 +47,14 @@ def test_read_name_list_rejects_bad_count(tmp_path):
         read_name_list(path)
 
 
+def test_read_name_list_rejects_extra_fields(tmp_path):
+    path = tmp_path / "n.txt"
+    path.write_text("mary\t3\nbob\t3\tjunk\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as exc:
+        read_name_list(path)
+    assert f"{path}:2:" in str(exc.value)
+
+
 def test_read_name_list_rejects_empty(tmp_path):
     path = tmp_path / "n.txt"
     path.write_text("# nothing here\n", encoding="utf-8")
@@ -149,9 +157,9 @@ def test_negative_count_rejected():
         build_verb_lexicon({"x": {"VV": -1}}, 2.0, {"VV": VERB})
 
 
-def test_without_tag_map_tags_must_be_coarse():
+def test_only_mapped_verb_tags_count():
     counts = {"x": {"VV": 100}, "y": {VERB: 100}}
-    verbs = build_verb_lexicon(counts, 2.0, tag_map=None)
+    verbs = build_verb_lexicon(counts, 2.0, {VERB: VERB})
     assert verbs.verbs == frozenset({"y"})
 
 

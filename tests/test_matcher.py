@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stereomine.corpus_io import PRONOUN
-from stereomine.errors import ConfigError
 from stereomine.lexicons import ActionPhrase
 from stereomine.matcher import (
     Match,
@@ -138,9 +137,10 @@ def test_fixture_automaton_round_trip(actions, automaton):
         assert (action.source_id, 0, len(action.lemmas)) in spans(got)
 
 
-def test_compile_empty_is_an_error():
-    with pytest.raises(ConfigError):
-        compile_phrases([])
+def test_compile_empty_matches_nothing():
+    automaton = compile_phrases([])
+    assert automaton.phrases == ()
+    assert find_matches(sent("become", "nurse"), automaton) == []
 
 
 def test_out_of_vocabulary_lemma_fills_one_gap_only():

@@ -244,7 +244,9 @@ def test_matching_signs_rules():
 
 
 def tweet_occurrences(tweet_records, automaton, name_lexicon, fixtures):
-    english = EnglishFilterConfig(wordlist=load_wordlist(fixtures / "wordlist.txt"))
+    english = EnglishFilterConfig(
+        wordlist=load_wordlist(fixtures / "wordlist.txt"), max_nonenglish_ratio=0.20
+    )
     out = []
     for record in tweet_records:
         if not passes_english_filter(record, english):

@@ -388,7 +388,9 @@ def library_reference(kind, corpus_path, keys, lexdir):
     occurrences = []
     with open_text(corpus_path) as lines:
         if kind == "tweet":
-            english = EnglishFilterConfig(wordlist=load_wordlist(lexdir / "wordlist.txt"))
+            english = EnglishFilterConfig(
+                wordlist=load_wordlist(lexdir / "wordlist.txt"), max_nonenglish_ratio=0.20
+            )
             for record in parse_tweet_stream(lines, default_tag_map()):
                 stats["records_read"] += 1
                 if not passes_english_filter(record, english):
