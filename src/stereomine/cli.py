@@ -30,6 +30,7 @@ from .corpus_io import (
     DOC_HEADER_CUT,
     DocumentRecord,
     EnglishFilterConfig,
+    _scan_tweets,
     default_tag_map,
     default_wordlist,
     load_tag_map,
@@ -37,7 +38,6 @@ from .corpus_io import (
     parse_document_records,
     parse_plain_stream,
     parse_tweet_stream,
-    passes_english_filter,
 )
 from .errors import ConfigError, CorpusFormatError, DegenerateDataError, format_rows, open_text
 from .evaluation import (
@@ -199,7 +199,7 @@ def _score_tweets(config: RunConfig, actions, lexicon):
     counts, manifest counters and the record ids it saw."""
     config.require("tweet_corpus")
     _check_optional_paths(config, "tag_map", "wordlist")
-    tag_map = _tag_map(config)
+    _tag_map(config)  # the route reads no tags, but a malformed map still fails the run
     english = EnglishFilterConfig(
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
     )
@@ -209,23 +209,24 @@ def _score_tweets(config: RunConfig, actions, lexicon):
     path = str(config.tweet_corpus)
 
     def score_lines(lines):
-        # tweet ids are unique in a file, so dedup needs a set per record only
+        # tweet ids are unique in a file, so dedup needs a set per record only;
+        # the reader fills ``ids``, which is also the shard's set of record ids
         ids: set[str] = set()
         m, f = [0] * len(pids), [0] * len(pids)
         records_read = filtered = author_unknown = matches_total = attributed = 0
-        for record in parse_tweet_stream(lines, tag_map, path=path):
+        for record in _scan_tweets(lines, english, ids, path=path):
             records_read += 1
-            ids.add(record.record_id)
-            if not passes_english_filter(record, english):
+            if record is None:
                 filtered += 1
                 continue
-            gender = guess_gender(record.author_first_name, lexicon)
+            first_name, sentences = record
+            gender = guess_gender(first_name, lexicon)
             if gender is Gender.UNKNOWN:
                 author_unknown += 1
             tally = m if gender is Gender.MALE else f
             seen: set[int] = set()
-            for sentence in record.sentences:
-                found = _match_ids(automaton, sentence.lemmata)
+            for lemmas in sentences:
+                found = _match_ids(automaton, lemmas)
                 matches_total += len(found)
                 if gender is Gender.UNKNOWN:
                     continue

@@ -14,6 +14,13 @@ Fine-grained POS tags are mapped onto four coarse tags at parse time
 (``VERB``, ``PRONOUN``, ``PROPER_NOUN``, ``OTHER``); unknown tags fall
 back to ``OTHER``.  All matching downstream runs on the lemma column,
 which is lowercased here.
+
+Tweets have two readers that accept the same lines and raise the same
+errors.  ``parse_tweet_stream`` yields whole ``TweetRecord`` objects
+(``sanity`` and the library path use it, with ``passes_english_filter``).
+``_scan_tweets``, which ``score --kind tweet`` uses, keeps only what
+that route reads: per record the author's first name and the lemmas
+of each sentence, or ``None`` when the English filter drops the record.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class AnnotatedToken:
     pos: str
 
     def __post_init__(self):
-        if not self.lemma or any(c.isspace() for c in self.lemma):
+        if self.lemma.split() != [self.lemma]:
             raise ValueError(f"bad lemma {self.lemma!r}: must be non-empty, no whitespace")
         if self.pos not in COARSE_TAGS:
             raise ValueError(f"bad coarse POS {self.pos!r}")
@@ -271,17 +278,11 @@ def format_sentence(sentence: Sentence) -> str:
     return "\n".join(f"{s}\t{p}\t{l}" for s, p, l in columns) + "\n"
 
 
-def parse_tweet_stream(
-    lines: Iterable[str], tag_map: dict[str, str], path=None
-) -> Iterator[TweetRecord]:
-    """Stream tweet records, one per input line.
-
-    The author's first name is the first whitespace-delimited word of
-    the name field, lowercased.  Record ids must be unique within the
-    file.
-    """
-    tag_of = tag_map.get
-    seen_ids: set[str] = set()
+def _tweet_lines(
+    lines: Iterable[str], ids: set[str], path=None
+) -> Iterator[tuple[int, str, str, str]]:
+    """Yield (line_no, record_id, author_name, text) per non-blank line,
+    adding each record id to ``ids`` and raising on one already there."""
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -294,13 +295,50 @@ def parse_tweet_stream(
                 path=path,
             )
         record_id, author_name, text = parts
-        if record_id in seen_ids:
+        if record_id in ids:
             raise CorpusFormatError(
                 f"duplicate record_id {record_id!r}", line_no=line_no, path=path
             )
-        seen_ids.add(record_id)
-        name_words = author_name.split()
-        first_name = name_words[0].lower() if name_words else ""
+        ids.add(record_id)
+        yield line_no, record_id, author_name, text
+
+
+def _token_error(chunk: str, line_no: int, path) -> CorpusFormatError:
+    """The error for a tweet token that is not ``surface|pos|lemma`` with a
+    non-empty lemma (``text.split()`` left no whitespace in the chunk)."""
+    fields = chunk.rsplit("|", 2)
+    if len(fields) != 3:
+        return CorpusFormatError(
+            f"token {chunk!r} is not surface|pos|lemma", line_no=line_no, path=path
+        )
+    return CorpusFormatError(
+        f"bad lemma {fields[2]!r} for surface {fields[0]!r}", line_no=line_no, path=path
+    )
+
+
+def _first_name(author_name: str) -> str:
+    """The first word of a name field, lowercased ("" for a blank field)."""
+    words = author_name.split()
+    return words[0].lower() if words else ""
+
+
+def _mostly_english(total: int, unknown: int, max_nonenglish_ratio: float) -> bool:
+    """The English-filter verdict on a record's alphabetic surface count
+    and the number of those missing from the word list."""
+    return total == 0 or unknown / total <= max_nonenglish_ratio
+
+
+def parse_tweet_stream(
+    lines: Iterable[str], tag_map: dict[str, str], path=None
+) -> Iterator[TweetRecord]:
+    """Stream tweet records, one per input line.
+
+    The author's first name is the first whitespace-delimited word of
+    the name field, lowercased.  Record ids must be unique within the
+    file.
+    """
+    tag_of = tag_map.get
+    for line_no, record_id, author_name, text in _tweet_lines(lines, set(), path):
         sentences: list[Sentence] = []
         surfaces, tags, lemmas = [], [], []
         for chunk in text.split():
@@ -309,28 +347,66 @@ def parse_tweet_stream(
                     sentences.append(Sentence(tuple(surfaces), tuple(tags), tuple(lemmas)))
                     surfaces, tags, lemmas = [], [], []
                 continue
-            fields = chunk.rsplit("|", 2)
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    f"token {chunk!r} is not surface|pos|lemma", line_no=line_no, path=path
-                )
-            surface, fine, lemma = fields
-            lemma = lemma.lower()
-            if not lemma:  # text.split() left no whitespace in the chunk
-                raise CorpusFormatError(
-                    f"bad lemma {lemma!r} for surface {surface!r}", line_no=line_no, path=path
-                )
+            try:
+                surface, fine, lemma = chunk.rsplit("|", 2)
+            except ValueError:  # fewer than two "|"
+                raise _token_error(chunk, line_no, path) from None
+            if not lemma:
+                raise _token_error(chunk, line_no, path)
             surfaces.append(surface)
             tags.append(tag_of(fine, OTHER))
-            lemmas.append(lemma)
+            lemmas.append(lemma.lower())
         if surfaces:
             sentences.append(Sentence(tuple(surfaces), tuple(tags), tuple(lemmas)))
         yield TweetRecord(
             record_id=record_id,
             author_name=author_name,
-            author_first_name=first_name,
+            author_first_name=_first_name(author_name),
             sentences=tuple(sentences),
         )
+
+
+def _scan_tweets(
+    lines: Iterable[str], english: EnglishFilterConfig, ids: set[str], path=None
+) -> Iterator[tuple[str, list[list[str]]] | None]:
+    """The tweet route of ``score`` in one pass over each record's tokens.
+
+    Per record, yields ``(author_first_name, [lowercased lemmas per
+    sentence])``, or ``None`` if the record fails the English filter.
+    It accepts and rejects exactly what ``parse_tweet_stream`` does, with
+    the same errors, and adds every record id to ``ids``.  No tags,
+    ``Sentence`` or ``TweetRecord`` are built, and the token loop stays
+    inline: a call or an object per token costs more than the work.
+    """
+    wordlist = english.wordlist
+    max_ratio = english.max_nonenglish_ratio
+    for line_no, _, author_name, text in _tweet_lines(lines, ids, path):
+        sentences: list[list[str]] = []
+        lemmas: list[str] = []
+        total = unknown = 0
+        for chunk in text.split():
+            if chunk == SENTENCE_BREAK:
+                if lemmas:
+                    sentences.append(lemmas)
+                    lemmas = []
+                continue
+            try:
+                surface, _, lemma = chunk.rsplit("|", 2)
+            except ValueError:  # fewer than two "|"
+                raise _token_error(chunk, line_no, path) from None
+            if not lemma:
+                raise _token_error(chunk, line_no, path)
+            if surface.isalpha():
+                total += 1
+                if surface.lower() not in wordlist:
+                    unknown += 1
+            lemmas.append(lemma.lower())
+        if not _mostly_english(total, unknown, max_ratio):
+            yield None
+            continue
+        if lemmas:
+            sentences.append(lemmas)
+        yield _first_name(author_name), sentences
 
 
 def format_tweet_record(record: TweetRecord) -> str:
@@ -360,6 +436,4 @@ def passes_english_filter(record: TweetRecord, config: EnglishFilterConfig) -> b
             total += 1
             if surface.lower() not in config.wordlist:
                 unknown += 1
-    if total == 0:
-        return True
-    return unknown / total <= config.max_nonenglish_ratio
+    return _mostly_english(total, unknown, config.max_nonenglish_ratio)

@@ -9,6 +9,7 @@ across workers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -53,7 +54,7 @@ class ActionPhrase:
         if len(self.lemmas) < 2:
             raise ValueError(f"action phrase needs >= 2 lemmas, got {self.lemmas!r}")
         for lemma in self.lemmas:
-            if not lemma or any(c.isspace() for c in lemma):
+            if lemma.split() != [lemma]:  # empty, or whitespace in or around it
                 raise ValueError(f"bad lemma {lemma!r} in action phrase")
 
     @property
@@ -147,8 +148,9 @@ def build_verb_lexicon(
     ``dominance_ratio`` times its largest single non-verb tag count.  A
     lemma never tagged as a verb is never included.
     """
-    if not dominance_ratio >= 1.0:  # also rejects nan
-        raise ConfigError(f"dominance_ratio must be >= 1, got {dominance_ratio}")
+    # also rejects nan, and inf, for which ``inf * 0`` is nan below
+    if not 1.0 <= dominance_ratio < math.inf:
+        raise ConfigError(f"dominance_ratio must be finite and >= 1, got {dominance_ratio}")
 
     verbs = set()
     for lemma, per_tag in tag_counts.items():

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stereomine.cli import build_parser, main
 from stereomine.config import CONFIG_KEYS
+from stereomine.corpus_io import default_tag_map, parse_tweet_stream
+from stereomine.errors import CorpusFormatError, open_text
 from stereomine.scoring import parse_counts_table, parse_score_table
 
 from util import read_manifest
@@ -432,6 +434,43 @@ def test_malformed_corpus_fails_before_any_output(tmp_path, lexdir, capsys):
     assert not out.exists()
 
 
+# each fault line goes after the fixture's first record and a blank line
+TWEET_FAULTS = {
+    "2 fields": "t99\tMary J",
+    "4 fields": "t99\tMary J\ti|PP|i\tmore",
+    "duplicate id": "t01\tMary J\ti|PP|i",
+    "no lemma field": "t99\tMary J\ti|PP|i broken|NN",
+    "empty lemma": "t99\tMary J\tword|NN|",
+    "bad token after a break": "t99\tMary J\ti|PP|i </s> broken",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TWEET_FAULTS))
+def test_tweet_score_reports_the_parsers_error(tmp_path, lexdir, capsys, fault):
+    """``score --kind tweet`` fails with the error ``parse_tweet_stream``
+    raises on the same file, at the same line."""
+    first, *rest = read(FIXTURES / "tweets.tsv").splitlines(keepends=True)
+    corpus = tmp_path / "faulty.tsv"
+    corpus.write_text("".join([first, "\n", TWEET_FAULTS[fault] + "\n", *rest]), encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as parsed, open_text(corpus) as fh:
+        list(parse_tweet_stream(fh, default_tag_map(), path=str(corpus)))
+    assert str(parsed.value).startswith(f"{corpus}:3: ")
+    out = tmp_path / "out"
+    assert main(score_args("tweet", out, lexdir, "--tweet-corpus", str(corpus))) == 1
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
+    assert not out.exists()
+
+
+def test_tweet_score_still_reads_the_tag_map(tmp_path, lexdir, capsys):
+    """The tweet route uses no tags, but a malformed tag map fails it."""
+    tag_map = tmp_path / "tags.tsv"
+    tag_map.write_text("VV\tVERB\nNN\tNOUN\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(score_args("tweet", out, lexdir, "--tag-map", str(tag_map))) == 1
+    assert capsys.readouterr().err.startswith(f"error: {tag_map}:2: unknown coarse tag 'NOUN'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -490,7 +529,7 @@ def test_every_option_and_config_key_is_in_the_readme():
 
 
 def test_bad_dominance_ratio_flag(tmp_path):
-    for ratio in ("0.5", "nan"):
+    for ratio in ("0.5", "nan", "inf"):
         rc = main(
             ["build-lexicons", "--config", CFG, "--output-dir", str(tmp_path / "o"),
              "--dominance-ratio", ratio]

@@ -10,6 +10,7 @@ from stereomine.corpus_io import (
     VERB,
     AnnotatedToken,
     EnglishFilterConfig,
+    _scan_tweets,
     default_tag_map,
     default_wordlist,
     format_sentence,
@@ -282,6 +283,59 @@ def test_filter_config_validation():
         EnglishFilterConfig(wordlist=frozenset(), max_nonenglish_ratio=0.20)
     with pytest.raises(ConfigError):
         EnglishFilterConfig(wordlist=WORDS, max_nonenglish_ratio=1.5)
+
+
+# --- the one-pass reader of score --------------------------------------------
+
+# valid tokens in mixed case, non-alphabetic ones, a surface that lowercases
+# to a non-letter (U+0130), and malformed tokens and records
+SCAN_TOKENS = ["i|PP|i", "Feel|VVP|FEEL", "good|JJ|good", "zzkx|NN|zzkx", "\u0130|NP|\u0130",
+               "#tag|NN|#tag", "42|CD|42", ":-||NN|pipe", "</s>", "broken|NN", "x|NN|"]
+SCAN_NAMES = ["Mary Jane", " mary", "", "\u0130lke B"]
+
+
+@given(
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(["t1", "t2", "t3", "t4"]),
+            st.sampled_from(SCAN_NAMES),
+            st.lists(st.sampled_from(SCAN_TOKENS), max_size=8),
+            st.sampled_from(["", "", "\textra"]),
+        ),
+        max_size=6,
+    ),
+    blank=st.sampled_from(["", " ", "\t"]),
+    ratio=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+)
+def test_scan_tweets_agrees_with_parse_and_filter(records, blank, ratio):
+    """``_scan_tweets`` yields what ``parse_tweet_stream`` and
+    ``passes_english_filter`` make of the same lines, stops at the same
+    error, and collects the ids of the records it read."""
+    lines = []
+    for record_id, name, tokens, extra in records:
+        lines += [f"{record_id}\t{name}\t{' '.join(tokens)}{extra}\n", blank + "\n"]
+    config = EnglishFilterConfig(wordlist=WORDS, max_nonenglish_ratio=ratio)
+
+    def read(stream):
+        out = []
+        try:
+            out.extend(stream)
+        except CorpusFormatError as exc:
+            return out, str(exc)
+        return out, None
+
+    parsed, parse_error = read(parse_tweet_stream(lines, TAG_MAP, path="tw.tsv"))
+    ids = set()
+    scanned, scan_error = read(_scan_tweets(lines, config, ids, path="tw.tsv"))
+    assert scan_error == parse_error
+    assert scanned == [
+        (r.author_first_name, [list(s.lemmata) for s in r.sentences])
+        if passes_english_filter(r, config)
+        else None
+        for r in parsed
+    ]
+    if parse_error is None:
+        assert ids == {r.record_id for r in parsed}
 
 
 # --- word lists ------------------------------------------------------------

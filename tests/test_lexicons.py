@@ -148,8 +148,11 @@ def test_only_verb_tags_always_included():
 
 
 def test_dominance_ratio_below_one_rejected():
-    with pytest.raises(ConfigError):
-        build_verb_lexicon({}, 0.5, {"VV": VERB})
+    # so is a non-finite one: at inf, ``inf * 0`` is nan and a verb-only
+    # lemma would silently drop out
+    for ratio in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=f"dominance_ratio must be finite and >= 1, got {ratio}"):
+            build_verb_lexicon({"x": {"VV": 1}}, ratio, {"VV": VERB})
 
 
 def test_negative_count_rejected():

@@ -217,7 +217,7 @@ TOKENS = [
 token = st.sampled_from(TOKENS)
 sentence = st.lists(token, min_size=1, max_size=8)
 # faults land on a record drawn at random, so often in a later shard
-fault = st.sampled_from([None, None, "bad token", "duplicate id", "non-utf8"])
+fault = st.sampled_from([None, None, "bad token", "empty lemma", "duplicate id", "non-utf8"])
 
 
 @st.composite
@@ -243,6 +243,8 @@ def tweet_corpus(draw, faults=fault, sentence=sentence):
         text = " </s> ".join(" ".join(f"{s}|{p}|{l}" for s, p, l in sent) for sent in sentences)
         if kind == "bad token" and i == at:
             text += " broken|NN"
+        if kind == "empty lemma" and i == at:
+            text += " word|NN|"
         line_of.append(len(lines))
         lines.append(f"{record_id}\t{author}\t{text}")
         if blank:
@@ -275,6 +277,8 @@ def document_corpus(draw, faults=fault, sentence=sentence):
     kind, at = draw(faults), draw(st.integers(0, len(lines) - 1))
     if kind == "bad token":
         lines.insert(at, "w\tNN")
+    if kind == "empty lemma":
+        lines.insert(at, "w\tNN\t")
     data = (newline.join(lines) + newline).encode("utf-8")
     if kind == "non-utf8":
         data = data[: at * 3] + b"\xff" + data[at * 3 :]
@@ -356,6 +360,12 @@ PHRASE_CHUNKS = [[t] for t in TOKENS] + [
 ]
 phrase_sentence = st.lists(st.sampled_from(PHRASE_CHUNKS), min_size=1, max_size=4).map(
     lambda chunks: [t for chunk in chunks for t in chunk]
+)
+# sentences that sink a record under the English filter ("xyzzy" is off the
+# word list) or hold no alphabetic token at all
+XYZZY, DOCTORWHO = TOKENS[-2], TOKENS[-1]
+off_list_sentence = st.sampled_from(
+    [[XYZZY] * 3, [XYZZY, TOKENS[0], XYZZY, TOKENS[2]], [DOCTORWHO], [DOCTORWHO] * 2]
 )
 
 
@@ -448,7 +458,7 @@ def check_tally_matches_library(kind, corpus, lexdir):
 
 
 @SHARD_SETTINGS
-@given(corpus=tweet_corpus(faults=st.none(), sentence=phrase_sentence))
+@given(corpus=tweet_corpus(faults=st.none(), sentence=phrase_sentence | off_list_sentence))
 def test_tweet_tally_equals_the_per_occurrence_path(corpus, tally_lexdir):
     check_tally_matches_library("tweet", corpus, tally_lexdir)
 
