@@ -3,8 +3,10 @@
 Two routes: tweet records use the author's guessed gender (all matches
 in a record inherit it, or the whole record is discarded); documents
 use the nearest pronoun or proper name to the left of the match within
-the sentence.  ``score`` tallies counts itself and calls only
-``attribute_by_context``; ``GenderedOccurrence``, ``Source`` and
+the sentence.  ``score`` tallies counts itself; on documents it finds
+the nearest candidate in ``corpus_io._scan_vertical``'s candidate list
+and lets ``_candidate_gender`` decide, as ``attribute_by_context``
+does.  ``attribute_by_context``, ``GenderedOccurrence``, ``Source`` and
 ``attribute_by_author`` are library API, which with
 ``scoring.aggregate`` gives the same counts one object at a time.
 """
@@ -92,8 +94,16 @@ def attribute_by_context(
     tags, surfaces = sentence.tags, sentence.surfaces
     for i in range(match.start - 1, -1, -1):
         pos = tags[i]
-        if pos == PRONOUN:
-            return pronouns.get(surfaces[i].lower(), Gender.UNKNOWN)
-        if pos == PROPER_NOUN:
-            return guess_gender(surfaces[i].lower(), lexicon)
+        if pos == PRONOUN or pos == PROPER_NOUN:
+            return _candidate_gender(pos, surfaces[i].lower(), lexicon, pronouns)
     return Gender.UNKNOWN
+
+
+def _candidate_gender(
+    tag: str, surface: str, lexicon: NameGenderLexicon, pronouns: Mapping[str, Gender]
+) -> Gender:
+    """The gender that the nearest pronoun or proper name left of a match
+    gives it, from its coarse tag and lowercased surface."""
+    if tag == PRONOUN:
+        return pronouns.get(surface, Gender.UNKNOWN)
+    return guess_gender(surface, lexicon)

@@ -20,23 +20,17 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from .attribution import (
-    DEFAULT_PRONOUNS,
-    EXTENDED_PRONOUNS,
-    attribute_by_context,
-)
+from .attribution import DEFAULT_PRONOUNS, EXTENDED_PRONOUNS, _candidate_gender
 from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
 from .corpus_io import (
     DOC_HEADER_CUT,
-    DocumentRecord,
     EnglishFilterConfig,
     _scan_tweets,
+    _scan_vertical,
     default_tag_map,
     default_wordlist,
     load_tag_map,
     load_wordlist,
-    parse_document_records,
-    parse_plain_stream,
     parse_tweet_stream,
 )
 from .errors import ConfigError, CorpusFormatError, DegenerateDataError, format_rows, open_text
@@ -63,7 +57,7 @@ from .lexicons import (
     load_tag_counts,
     read_name_list,
 )
-from .matcher import _match_ids, compile_phrases, find_matches
+from .matcher import _match_ids, compile_phrases
 from .scoring import (
     GenderedCount,
     combine_average,
@@ -257,39 +251,41 @@ def _score_documents(config: RunConfig, actions, lexicon):
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
     automaton = compile_phrases(actions)
     index, pids = _phrase_index(actions)
+    canon = [index[action.source_id] for action in actions]
     path = str(config.document_corpus)
-    plain = config.document_format == "plain"
 
     def score_lines(lines):
-        # a ``#doc`` id may repeat later in the shard, so dedup spans it;
-        # find_matches' (start, phrase id, end) order picks the first to win
+        # a ``#doc`` id may repeat later in the shard, so dedup spans it.
+        # Matches come by start, and a match's gender depends on its start
+        # alone, so the first of a phrase's matches to count in a record
+        # has the gender it would have in (start, phrase id, end) order
         ids: set[str] = set()
         m, f = [0] * len(pids), [0] * len(pids)
         seen: set[tuple[int, str]] = set()
-        if plain:
-            records = (
-                DocumentRecord(record_id=f"line{i}", sentences=(sentence,))
-                for i, sentence in enumerate(parse_plain_stream(lines, path=path), start=1)
-            )
-        else:
-            records = parse_document_records(lines, tag_map, path=path)
         records_read = sentences_read = matches_total = unattributed = attributed = 0
-        for record in records:
+        for record_id, sentences in _scan_vertical(lines, tag_map, path=path):
             records_read += 1
-            if not plain:  # a plain id numbers a line within its shard, never a repeat
-                ids.add(record.record_id)
-            for sentence in record.sentences:
-                sentences_read += 1
-                for match in find_matches(sentence, automaton):
-                    matches_total += 1
-                    gender = attribute_by_context(sentence, match, lexicon, pronouns)
+            ids.add(record_id)
+            sentences_read += len(sentences)
+            for lemmas, candidates in sentences:
+                found = _match_ids(automaton, lemmas)
+                matches_total += len(found)
+                left = 0  # candidates[:left] lie left of the match's start
+                for pidx, start, _ in found:
+                    while left < len(candidates) and candidates[left][0] < start:
+                        left += 1
+                    if left:
+                        _, tag, surface = candidates[left - 1]
+                        gender = _candidate_gender(tag, surface, lexicon, pronouns)
+                    else:
+                        gender = Gender.UNKNOWN
                     if gender is Gender.UNKNOWN:
                         unattributed += 1
                         continue
                     attributed += 1
-                    c = index[match.phrase_id]
+                    c = canon[pidx]
                     if config.dedup:
-                        key = (c, record.record_id)
+                        key = (c, record_id)
                         if key in seen:
                             continue
                         seen.add(key)
@@ -302,7 +298,7 @@ def _score_documents(config: RunConfig, actions, lexicon):
             occurrences_attributed=attributed,
         ), ids
 
-    return config.document_corpus, ANY_LINE if plain else DOC_HEADER_CUT, score_lines
+    return config.document_corpus, DOC_HEADER_CUT, score_lines
 
 
 def _score_shards(corpus: Path, record_start, score_lines):

@@ -41,7 +41,6 @@ def _to_number(key: str, raw: str, kind: type) -> int | float:
 class RunConfig:
     tweet_corpus: Path | None = None
     document_corpus: Path | None = None
-    document_format: str = "vertical"
     male_names: Path | None = None
     female_names: Path | None = None
     concepts: Path | None = None
@@ -58,10 +57,6 @@ class RunConfig:
     lexicon_dir: Path | None = None
 
     def __post_init__(self):
-        if self.document_format not in ("vertical", "plain"):
-            raise ConfigError(
-                f"document_format must be vertical or plain, got {self.document_format!r}"
-            )
         if self.min_occurrences < 1:
             raise ConfigError("min_occurrences must be >= 1")
 

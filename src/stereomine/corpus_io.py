@@ -15,17 +15,27 @@ Fine-grained POS tags are mapped onto four coarse tags at parse time
 back to ``OTHER``.  All matching downstream runs on the lemma column,
 which is lowercased here.
 
-Tweets have two readers that accept the same lines and raise the same
-errors.  ``parse_tweet_stream`` yields whole ``TweetRecord`` objects
-(``sanity`` and the library path use it, with ``passes_english_filter``).
-``_scan_tweets``, which ``score --kind tweet`` uses, keeps only what
-that route reads: per record the author's first name and the lemmas
-of each sentence, or ``None`` when the English filter drops the record.
+Each format has two readers that accept the same lines and raise the
+same errors: a library reader that builds whole records, and a reader
+for ``score`` that keeps only what its route reads.
+
+* Tweets: ``parse_tweet_stream`` yields ``TweetRecord`` objects
+  (``sanity`` and the library path use it, with
+  ``passes_english_filter``).  ``_scan_tweets``, which
+  ``score --kind tweet`` uses, yields per record the author's first
+  name and the lemmas of each sentence, or ``None`` when the English
+  filter drops the record.
+* Documents: ``parse_document_records`` yields ``DocumentRecord``
+  objects.  ``_scan_vertical``, which ``score --kind document`` uses,
+  yields per record its id and, per sentence, the lemmas and the
+  positions of the pronouns and proper nouns, and parses each distinct
+  token line once per shard through a memo of bounded size.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -48,6 +58,11 @@ DOC_HEADER = re.compile(_DOC_HEADER)
 # pattern ``\s`` is ASCII whitespace only, so a header followed by other
 # whitespace is no cut, but a token line never is one.
 DOC_HEADER_CUT = re.compile(b"\n" + _DOC_HEADER.encode(), re.MULTILINE)
+
+# Bounds of the per-shard memo of ``_scan_vertical``: the lines of a
+# vertical corpus repeat heavily, but its memory must not grow with it.
+MEMO_ENTRIES = 8192
+MEMO_KEY_CHARS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,6 +229,29 @@ def parse_document_records(
         yield DocumentRecord(record_id=current_id, sentences=tuple(current))
 
 
+def _doc_id(header: str, line_no: int, path) -> str:
+    """The id of a ``#doc`` header line, which must have one."""
+    doc_id = header[len("#doc") :].strip()
+    if not doc_id:
+        raise CorpusFormatError("#doc line without an id", line_no=line_no, path=path)
+    return doc_id
+
+
+def _fields_error(parts: list[str], line_no: int, path) -> CorpusFormatError:
+    """The error for a vertical token line, split into ``parts`` at tabs,
+    that has not three fields or whose lemma is not one word."""
+    if len(parts) != 3:
+        return CorpusFormatError(
+            f"expected 3 tab-separated fields, got {len(parts)}",
+            line_no=line_no,
+            path=path,
+        )
+    surface, _, lemma = parts
+    return CorpusFormatError(
+        f"bad lemma {lemma.strip().lower()!r} for surface {surface!r}", line_no=line_no, path=path
+    )
+
+
 def _parse_vertical(lines, tag_map, path):
     """Yield (doc_id, Sentence) pairs; doc_id is None before any #doc line."""
     tag_of = tag_map.get
@@ -228,23 +266,15 @@ def _parse_vertical(lines, tag_map, path):
                 yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
                 surfaces, tags, lemmas = [], [], []
             if is_doc:
-                doc_id = line[len("#doc") :].strip()
-                if not doc_id:
-                    raise CorpusFormatError("#doc line without an id", line_no=line_no, path=path)
+                doc_id = _doc_id(line, line_no, path)
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise CorpusFormatError(
-                f"expected 3 tab-separated fields, got {len(parts)}",
-                line_no=line_no,
-                path=path,
-            )
+            raise _fields_error(parts, line_no, path)
         surface, fine, lemma = parts
         lemma = lemma.strip().lower()
         if len(lemma.split()) != 1:  # empty, or whitespace inside
-            raise CorpusFormatError(
-                f"bad lemma {lemma!r} for surface {surface!r}", line_no=line_no, path=path
-            )
+            raise _fields_error(parts, line_no, path)
         if not surfaces:
             pending_doc = doc_id
         surfaces.append(surface)
@@ -254,20 +284,75 @@ def _parse_vertical(lines, tag_map, path):
         yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
 
 
-def parse_plain_stream(lines: Iterable[str], path=None) -> Iterator[Sentence]:
-    """Identity-lemma fallback for unannotated text.
+def _scan_vertical(
+    lines: Iterable[str], tag_map: dict[str, str], path=None
+) -> Iterator[tuple[str, list[tuple[list[str], list[tuple[int, str, str]]]]]]:
+    """The document route of ``score`` in one pass over the lines.
 
-    One sentence per line, whitespace-tokenized; the lemma is the
-    lowercased surface and every POS is OTHER.  Callers are expected to
-    flag this mode in their run metadata, since context attribution is
-    blind without real POS tags.
+    Per record, yields ``(record_id, sentences)``, each sentence as
+    ``(lemmas, candidates)``: its lowercased lemmas, and per pronoun or
+    proper-noun token ``(position, coarse tag, lowercased surface)``.
+    It groups, accepts and rejects exactly what ``parse_document_records``
+    does, with the same errors, but builds no ``Sentence`` or
+    ``DocumentRecord``.  A token line that passed every check is memoized
+    by its raw text, so a repeat costs one lookup; only lines of at most
+    ``MEMO_KEY_CHARS`` characters are kept, and at most ``MEMO_ENTRIES``
+    of them, so the memo's size does not grow with the corpus.
     """
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line.strip() or DOC_HEADER.match(line):
+    tag_of = tag_map.get
+    memo: dict[str, str | tuple[str, str, str]] = {}
+    recall = memo.get
+    doc_id = record_id = None
+    sentences: list[tuple[list[str], list[tuple[int, str, str]]]] = []
+    lemmas: list[str] = []
+    candidates: list[tuple[int, str, str]] = []
+    auto = 0
+    # the blank line after the last one closes the last sentence
+    for line_no, raw in enumerate(itertools.chain(lines, ("",)), start=1):
+        token = recall(raw)
+        if token is not None:
+            if token.__class__ is str:
+                lemmas.append(token)
+            else:
+                candidates.append((len(lemmas), token[1], token[2]))
+                lemmas.append(token[0])
             continue
-        words = tuple(line.split())
-        yield Sentence(words, (OTHER,) * len(words), tuple(w.lower() for w in words))
+        line = raw.rstrip("\n")
+        is_doc = line.startswith("#doc") and DOC_HEADER.match(line) is not None
+        if is_doc or not line.strip():
+            if lemmas:
+                if doc_id is None:
+                    auto += 1
+                    sentence_doc = f"autodoc{auto}"
+                else:
+                    sentence_doc = doc_id
+                if sentence_doc != record_id:
+                    if sentences:
+                        yield record_id, sentences
+                    record_id, sentences = sentence_doc, []
+                sentences.append((lemmas, candidates))
+                lemmas, candidates = [], []
+            if is_doc:
+                doc_id = _doc_id(line, line_no, path)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise _fields_error(parts, line_no, path)
+        surface, fine, lemma = parts
+        lemma = lemma.strip().lower()
+        if len(lemma.split()) != 1:  # empty, or whitespace inside
+            raise _fields_error(parts, line_no, path)
+        tag = tag_of(fine, OTHER)
+        if tag == PRONOUN or tag == PROPER_NOUN:
+            token = (lemma, tag, surface.lower())
+            candidates.append((len(lemmas), tag, token[2]))
+        else:
+            token = lemma
+        lemmas.append(lemma)
+        if len(memo) < MEMO_ENTRIES and len(raw) <= MEMO_KEY_CHARS:
+            memo[raw] = token
+    if sentences:
+        yield record_id, sentences
 
 
 def format_sentence(sentence: Sentence) -> str:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stereomine.cli import build_parser, main
 from stereomine.config import CONFIG_KEYS
-from stereomine.corpus_io import default_tag_map, parse_tweet_stream
+from stereomine.corpus_io import default_tag_map, parse_document_records, parse_tweet_stream
 from stereomine.errors import CorpusFormatError, open_text
 from stereomine.scoring import parse_counts_table, parse_score_table
 
@@ -165,21 +165,17 @@ def test_extended_pronouns_attributes_him(tmp_path, lexdir):
     assert read_manifest(out / "document_manifest.tsv")["matches_unattributed"] == "1"
 
 
-def test_plain_document_format(tmp_path, lexdir, capsys):
-    corpus = tmp_path / "plain.txt"
-    corpus.write_text("she solve a problem\n", encoding="utf-8")
+def test_document_format_key_is_unknown(tmp_path, lexdir, capsys):
+    """The ``document_format`` key and its ``plain`` format are gone: a
+    config that still sets it fails before any output."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(read(CFG) + "document_format = vertical\n", encoding="utf-8")
     out = tmp_path / "out"
-    rc = main(
-        score_args("document", out, lexdir, "--document-corpus", str(corpus),
-                   "--document-format", "plain")
-    )
-    assert rc == 0
-    manifest = read_manifest(out / "document_manifest.tsv")
-    # matching works on the lowercased surfaces, but without POS tags the
-    # context heuristic can never attribute anything
-    assert manifest["matches_total"] == "1"
-    assert manifest["occurrences_attributed"] == "0"
-    assert "empty" in capsys.readouterr().err
+    argv = score_args("document", out, lexdir)
+    argv[argv.index(CFG)] = str(cfg)
+    assert main(argv) == 1
+    assert "unknown key 'document_format'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_match_corpus(tmp_path, lexdir, capsys):
@@ -461,6 +457,33 @@ def test_tweet_score_reports_the_parsers_error(tmp_path, lexdir, capsys, fault):
     assert not out.exists()
 
 
+# each fault line goes third, after a header and a token line
+DOCUMENT_FAULTS = {
+    "bare #doc": "#doc",
+    "2 fields": "w\tNN",
+    "4 fields": "w\tNN\tw\tx",
+    "empty lemma": "w\tNN\t ",
+    "inner space": "w\tNN\ta b",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DOCUMENT_FAULTS))
+def test_document_score_reports_the_parsers_error(tmp_path, lexdir, capsys, fault):
+    """``score --kind document`` fails with the error
+    ``parse_document_records`` raises on the same file, at the same line."""
+    lines = read(FIXTURES / "docs.vert").splitlines(keepends=True)
+    corpus = tmp_path / "faulty.vert"
+    faulty = [*lines[:2], DOCUMENT_FAULTS[fault] + "\n", *lines[2:]]
+    corpus.write_text("".join(faulty), encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as parsed, open_text(corpus) as fh:
+        list(parse_document_records(fh, default_tag_map(), path=str(corpus)))
+    assert str(parsed.value).startswith(f"{corpus}:3: ")
+    out = tmp_path / "out"
+    assert main(score_args("document", out, lexdir, "--document-corpus", str(corpus))) == 1
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
+    assert not out.exists()
+
+
 def test_tweet_score_still_reads_the_tag_map(tmp_path, lexdir, capsys):
     """The tweet route uses no tags, but a malformed tag map fails it."""
     tag_map = tmp_path / "tags.tsv"
@@ -540,7 +563,6 @@ def test_bad_dominance_ratio_flag(tmp_path):
 
 # --- arbitrary and mutated bytes in every file input ------------------------------
 
-PLAIN = b"He makes money now\nShe cooks dinner\n#doc x\n\nJohn walks the dog\n"
 TAG_MAP = b"# fine\tcoarse\nVV\tVERB\nPP\tPRONOUN\nNP\tPROPER_NOUN\nNN\tOTHER\n"
 # the fixture config with absolute input paths, so a copy elsewhere reads the same files
 CONFIG = "".join(
@@ -555,9 +577,6 @@ SCORES = ["--scores", str(EXPECTED / "tweet_scores.tsv"), str(EXPECTED / "docume
 FILE_INPUTS = {
     "tweet corpus": (FIXTURES / "tweets.tsv", ["score", "--kind", "tweet", "--tweet-corpus"]),
     "vertical corpus": (FIXTURES / "docs.vert", ["score", "--kind", "document", "--document-corpus"]),
-    "plain corpus": (
-        PLAIN, ["score", "--kind", "document", "--document-format", "plain", "--document-corpus"]
-    ),
     "names": (FIXTURES / "names_male.txt", ["build-lexicons", "--male-names"]),
     "concepts": (FIXTURES / "concepts.tsv", ["build-lexicons", "--concepts"]),
     "tag counts": (FIXTURES / "tag_counts.tsv", ["build-lexicons", "--tag-counts"]),

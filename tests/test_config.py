@@ -105,7 +105,7 @@ def test_type_coercion_errors():
 
 
 def test_each_key_takes_the_type_of_its_annotation(tmp_path):
-    raw = {key: "plain" if key == "document_format" else "1" for key in CONFIG_KEYS}
+    raw = dict.fromkeys(CONFIG_KEYS, "1")
     config = build_config(raw, {}, base_dir=tmp_path)
     paths = {
         "tweet_corpus", "document_corpus", "male_names", "female_names", "concepts",
@@ -118,19 +118,12 @@ def test_each_key_takes_the_type_of_its_annotation(tmp_path):
         assert type(getattr(config, key)) is int and getattr(config, key) == 1, key
     for key in ("dominance_ratio", "max_nonenglish_ratio"):
         assert type(getattr(config, key)) is float and getattr(config, key) == 1.0, key
-    assert config.document_format == "plain"
-    assert len(paths) + 7 == len(CONFIG_KEYS)
+    assert len(paths) + 6 == len(CONFIG_KEYS)
 
 
 def test_bool_spellings():
     for raw, value in (("1", True), ("on", True), ("No", False), ("FALSE", False)):
         assert build_config({"dedup": raw}, {}).dedup is value
-
-
-def test_document_format_validated():
-    assert build_config({"document_format": "plain"}, {}).document_format == "plain"
-    with pytest.raises(ConfigError):
-        build_config({"document_format": "horizontal"}, {})
 
 
 def test_min_occurrences_validated():

@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from stereomine import corpus_io
 from stereomine.corpus_io import (
     OTHER,
     PRONOUN,
@@ -11,6 +12,7 @@ from stereomine.corpus_io import (
     AnnotatedToken,
     EnglishFilterConfig,
     _scan_tweets,
+    _scan_vertical,
     default_tag_map,
     default_wordlist,
     format_sentence,
@@ -18,7 +20,6 @@ from stereomine.corpus_io import (
     load_wordlist,
     parse_document_records,
     parse_document_stream,
-    parse_plain_stream,
     parse_tag_map,
     parse_tweet_stream,
     passes_english_filter,
@@ -119,8 +120,6 @@ def test_doc_header_is_doc_then_whitespace_or_end_of_line(tag_map):
     (doc_a, doc_b) = parse_document_records(lines + ["x\tNN\tx"], tag_map)
     assert doc_a.record_id == "a" and doc_a.sentences[0].lemmata == ("#doctorwho",)
     assert doc_b.record_id == "b"
-    plain = list(parse_plain_stream(["#doctorwho is on", "#doc x", "#doc"]))
-    assert [s.surfaces for s in plain] == [("#doctorwho", "is", "on")]
 
 
 def test_vertical_bad_arity_reports_location(tag_map):
@@ -151,17 +150,6 @@ def test_vertical_round_trip(doc_records, tag_map):
                 io.StringIO(format_sentence(sentence)), tag_map
             )
             assert again == sentence
-
-
-# --- plain text fallback ---------------------------------------------------
-
-
-def test_plain_stream_identity_lemmas():
-    sentences = list(parse_plain_stream(["Hello World", "", "#doc x", "one"]))
-    assert len(sentences) == 2
-    assert sentences[0].lemmas() == ("hello", "world")
-    assert sentences[0].tags == (OTHER, OTHER)
-    assert sentences[0].surfaces == ("Hello", "World")
 
 
 # --- tweet records ---------------------------------------------------------
@@ -336,6 +324,63 @@ def test_scan_tweets_agrees_with_parse_and_filter(records, blank, ratio):
     ]
     if parse_error is None:
         assert ids == {r.record_id for r in parsed}
+
+
+# token lines in mixed case (pronouns and proper nouns among them), one too
+# long to be memoized, headers and look-alikes, blank and whitespace-only
+# lines; and one line per fault
+VERTICAL_LINES = [
+    "He\tPP\the", "Him\tPP\the", "Mary\tNP\tMary", "she\tPRP\tShe", "RUNS\tVVZ\tRUN", "x\tXYZZY\tx ",
+    "\u0130\tNP\t\u0130", "#doctorwho\tNN\t#doctorwho", "a" * 70 + "\tNP\tlong",
+    "", "", " ", "\t", "#doc a", "#doc a", "#doc\tb", "#doc autodoc1", "#doc x y",
+]
+VERTICAL_FAULTS = ["#doc", "w\tNN", "w\tNN\tw\tx", "w\tNN\t", "w\tNN\ta b"]
+
+
+def _candidates(sentence):
+    return [
+        (i, tag, surface.lower())
+        for i, (tag, surface) in enumerate(zip(sentence.tags, sentence.surfaces))
+        if tag in (PRONOUN, PROPER_NOUN)
+    ]
+
+
+@pytest.mark.parametrize("memo_entries", [0, 1, corpus_io.MEMO_ENTRIES])
+@given(
+    lines=st.lists(st.sampled_from(VERTICAL_LINES), max_size=30),
+    fault=st.sampled_from([None, *VERTICAL_FAULTS]),
+    at=st.integers(0, 30),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_scan_vertical_agrees_with_parse_document_records(
+    memo_entries, lines, fault, at, newline, final_newline
+):
+    """``_scan_vertical`` yields the records, lemmas and pronoun and
+    proper-noun positions of ``parse_document_records`` on the same lines,
+    and stops at the same error, whether a line comes from its memo or not."""
+    if fault is not None:
+        lines.insert(at, fault)
+    lines = [line + newline for line in lines]
+    if lines and not final_newline:
+        lines[-1] = lines[-1].removesuffix(newline)
+
+    def read(stream):
+        out = []
+        try:
+            out.extend(stream)
+        except CorpusFormatError as exc:
+            return out, str(exc)
+        return out, None
+
+    parsed, parse_error = read(parse_document_records(lines, TAG_MAP, path="d.vert"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_io, "MEMO_ENTRIES", memo_entries)
+        scanned, scan_error = read(_scan_vertical(lines, TAG_MAP, path="d.vert"))
+    assert scan_error == parse_error
+    assert scanned == [
+        (r.record_id, [(list(s.lemmata), _candidates(s)) for s in r.sentences]) for r in parsed
+    ]
 
 
 # --- word lists ------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stereomine import cli, shards
+from stereomine import cli, corpus_io, shards
 from stereomine.attribution import (
     DEFAULT_PRONOUNS,
     EXTENDED_PRONOUNS,
@@ -285,16 +285,6 @@ def document_corpus(draw, faults=fault, sentence=sentence):
     return data, {"dedup": draw(st.booleans()), "extended_pronouns": draw(st.booleans())}
 
 
-@st.composite
-def plain_corpus(draw):
-    lines = [
-        " ".join(s for s, _, _ in sent) if sent else draw(st.sampled_from(["", "#doc x"]))
-        for sent in draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=40))
-    ]
-    data = (draw(st.sampled_from(["\n", "\r\n"])).join(lines)).encode("utf-8")
-    return data, {"dedup": draw(st.booleans()), "document_format": "plain"}
-
-
 def write_run(tmp, kind, corpus, lexdir):
     """The drawn corpus and a config naming it with the drawn keys."""
     data, keys = corpus
@@ -338,25 +328,21 @@ def test_vertical_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
     check_shard_counts_agree("document", corpus, lexdir)
 
 
-@SHARD_SETTINGS
-@given(corpus=plain_corpus())
-def test_plain_scoring_does_not_depend_on_the_shard_count(corpus, lexdir):
-    check_shard_counts_agree("document", corpus, lexdir)
-
-
 # --- the tally against the per-occurrence library path ------------------------
 
-# A1 names two actions; A3 and A4 are one lemma sequence under two ids
+# A1 names two actions; A3 and A4 are one lemma sequence under two ids; the
+# two A2 actions share a first lemma, so both match "fix the car" at one
+# start; A5 starts at a pronoun, which lies at, not left of, its start
 TALLY_ACTIONS = [
-    ("A1", "make money"), ("A1", "cook dinner"), ("A2", "fix car"),
-    ("A3", "walk dog"), ("A4", "walk dog"),
+    ("A1", "make money"), ("A1", "cook dinner"), ("A2", "fix car"), ("A2", "fix the car"),
+    ("A3", "walk dog"), ("A4", "walk dog"), ("A5", "he make"),
 ]
 # sentences built from whole phrases too, some after a gendered word, so
 # that most records hold attributable matches and a dedup key often repeats
 PHRASE_CHUNKS = [[t] for t in TOKENS] + [
     [next(t for t in TOKENS if t[0] == word) for word in text.split()]
-    for text in ("make money", "cook the dinner", "fix car", "walk dog",
-                 "He made money", "Mary walk dog", "she cook the dinner")
+    for text in ("make money", "cook the dinner", "fix car", "walk dog", "He made money",
+                 "Mary walk dog", "she cook the dinner", "John fix the car")
 ]
 phrase_sentence = st.lists(st.sampled_from(PHRASE_CHUNKS), min_size=1, max_size=4).map(
     lambda chunks: [t for chunk in chunks for t in chunk]
@@ -467,3 +453,13 @@ def test_tweet_tally_equals_the_per_occurrence_path(corpus, tally_lexdir):
 @given(corpus=document_corpus(faults=st.none(), sentence=phrase_sentence))
 def test_vertical_tally_equals_the_per_occurrence_path(corpus, tally_lexdir):
     check_tally_matches_library("document", corpus, tally_lexdir)
+
+
+@SHARD_SETTINGS
+@given(corpus=document_corpus(faults=st.none(), sentence=phrase_sentence))
+def test_vertical_tally_with_a_one_line_memo_equals_the_per_occurrence_path(corpus, tally_lexdir):
+    """As above, with nearly every line parsed in full: the reader's memo
+    holds one line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_io, "MEMO_ENTRIES", 1)
+        check_tally_matches_library("document", corpus, tally_lexdir)
