@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import os
 import sys
 import tempfile
@@ -60,6 +61,7 @@ from .lexicons import (
 from .matcher import _match_ids, compile_phrases
 from .scoring import (
     GenderedCount,
+    ScoringContext,
     combine_average,
     format_counts_table,
     format_score_table,
@@ -175,38 +177,25 @@ def cmd_build_lexicons(config: RunConfig) -> int:
     return 0
 
 
-def _phrase_index(actions) -> tuple[dict[str, int], list[str]]:
-    """A canonical index per distinct phrase id (two actions may share
-    one), and the phrase id at each index."""
-    pids = list(dict.fromkeys(action.source_id for action in actions))
-    return {pid: c for c, pid in enumerate(pids)}, pids
-
-
-def _counts(pids: list[str], m: list[int], f: list[int]) -> dict[str, GenderedCount]:
-    """The per-phrase counts of the phrases a shard tallied at least once."""
-    return {pid: GenderedCount(pid, m[c], f[c]) for c, pid in enumerate(pids) if m[c] or f[c]}
-
-
-def _score_tweets(config: RunConfig, actions, lexicon):
+def _score_tweets(config: RunConfig, automaton, canon: list[int], size: int, lexicon):
     """The tweet corpus, the pattern of a line a shard cut must precede
-    (any line), and a function scoring lines of the corpus into per-phrase
-    counts, manifest counters and the record ids it saw."""
+    (any line), and a function scoring lines of the corpus into the male
+    and female tallies per canonical phrase index (``canon`` maps each
+    automaton phrase to one of ``size`` indexes), manifest counters and
+    the record ids it saw."""
     config.require("tweet_corpus")
     _check_optional_paths(config, "tag_map", "wordlist")
     _tag_map(config)  # the route reads no tags, but a malformed map still fails the run
     english = EnglishFilterConfig(
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
     )
-    automaton = compile_phrases(actions)
-    index, pids = _phrase_index(actions)
-    canon = [index[action.source_id] for action in actions]
     path = str(config.tweet_corpus)
 
     def score_lines(lines):
         # tweet ids are unique in a file, so dedup needs a set per record only;
         # the reader fills ``ids``, which is also the shard's set of record ids
         ids: set[str] = set()
-        m, f = [0] * len(pids), [0] * len(pids)
+        m, f = [0] * size, [0] * size
         records_read = filtered = author_unknown = matches_total = attributed = 0
         for record in _scan_tweets(lines, english, ids, path=path):
             records_read += 1
@@ -230,7 +219,7 @@ def _score_tweets(config: RunConfig, actions, lexicon):
                     if not (config.dedup and c in seen):
                         seen.add(c)
                         tally[c] += 1
-        return _counts(pids, m, f), dict(
+        return m, f, dict(
             records_read=records_read,
             records_failed_english_filter=filtered,
             records_kept=records_read - filtered,
@@ -242,16 +231,13 @@ def _score_tweets(config: RunConfig, actions, lexicon):
     return config.tweet_corpus, ANY_LINE, score_lines
 
 
-def _score_documents(config: RunConfig, actions, lexicon):
+def _score_documents(config: RunConfig, automaton, canon: list[int], size: int, lexicon):
     """As ``_score_tweets`` for the document corpus; a vertical file is
     cut only before a ``#doc`` header, so a document stays in one shard."""
     config.require("document_corpus")
     _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
-    automaton = compile_phrases(actions)
-    index, pids = _phrase_index(actions)
-    canon = [index[action.source_id] for action in actions]
     path = str(config.document_corpus)
 
     def score_lines(lines):
@@ -260,7 +246,7 @@ def _score_documents(config: RunConfig, actions, lexicon):
         # alone, so the first of a phrase's matches to count in a record
         # has the gender it would have in (start, phrase id, end) order
         ids: set[str] = set()
-        m, f = [0] * len(pids), [0] * len(pids)
+        m, f = [0] * size, [0] * size
         seen: set[tuple[int, str]] = set()
         records_read = sentences_read = matches_total = unattributed = attributed = 0
         for record_id, sentences in _scan_vertical(lines, tag_map, path=path):
@@ -290,7 +276,7 @@ def _score_documents(config: RunConfig, actions, lexicon):
                             continue
                         seen.add(key)
                     (m if gender is Gender.MALE else f)[c] += 1
-        return _counts(pids, m, f), dict(
+        return m, f, dict(
             records_read=records_read,
             sentences_read=sentences_read,
             matches_total=matches_total,
@@ -303,7 +289,7 @@ def _score_documents(config: RunConfig, actions, lexicon):
 
 def _score_shards(corpus: Path, record_start, score_lines):
     """``score_lines`` over the corpus split into shards, one per usable
-    core; returns the merged counts, their scoring context and the summed
+    core; returns the summed male and female tallies and the summed
     manifest counters.  If a shard fails, or a record id turns up in two
     shards, the whole file is scored again in this process: that run
     raises the error at its line and lets the first occurrence of a
@@ -318,15 +304,20 @@ def _score_shards(corpus: Path, record_start, score_lines):
 
         results = run_forked(work, ranges)
         if results is not None and not all(
-            a.isdisjoint(b) for (_, _, a), (_, _, b) in itertools.combinations(results, 2)
+            a.isdisjoint(b) for (*_, a), (*_, b) in itertools.combinations(results, 2)
         ):
             results = None
     if results is None:
         with open_text(corpus) as lines:
             results = [score_lines(lines)]
-    counts, ctx = merge_counts(shard_counts for shard_counts, _, _ in results)
-    totals = {key: sum(stats[key] for _, stats, _ in results) for key in results[0][1]}
-    return counts, ctx, totals
+    # summed into the first shard's lists, so no third pair of lists is built
+    m, f, totals, _ = results[0]
+    for shard_m, shard_f, stats, _ in results[1:]:
+        m[:] = map(operator.add, m, shard_m)
+        f[:] = map(operator.add, f, shard_f)
+        for key in totals:
+            totals[key] += stats[key]
+    return m, f, totals
 
 
 def cmd_score(config: RunConfig, kind: str) -> int:
@@ -338,11 +329,22 @@ def cmd_score(config: RunConfig, kind: str) -> int:
             )
     actions = _load_actions(lexdir / "actions.tsv")
     lexicon = load_name_lexicon(lexdir / "names_male.txt", lexdir / "names_female.txt")
+    automaton = compile_phrases(actions)
     phrase_texts = {a.source_id: a.text for a in actions}
+    # each action tallies under its phrase id's index among the distinct
+    # ids, in first-seen order (two actions may share an id); the index
+    # itself is dropped, or it would stay resident through the scan
+    index = {pid: c for c, pid in enumerate(phrase_texts)}
+    canon = [index[a.source_id] for a in actions]
+    del index
 
     route = _score_tweets if kind == "tweet" else _score_documents
-    corpus, record_start, score_lines = route(config, actions, lexicon)
-    counts, ctx, totals = _score_shards(corpus, record_start, score_lines)
+    corpus, record_start, score_lines = route(config, automaton, canon, len(phrase_texts), lexicon)
+    m, f, totals = _score_shards(corpus, record_start, score_lines)
+    counts = {
+        pid: GenderedCount(pid, m[c], f[c]) for c, pid in enumerate(phrase_texts) if m[c] or f[c]
+    }
+    ctx = ScoringContext(M=sum(m), F=sum(f))
 
     scores = []
     degenerate: DegenerateDataError | None = None

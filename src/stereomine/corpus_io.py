@@ -15,21 +15,22 @@ Fine-grained POS tags are mapped onto four coarse tags at parse time
 back to ``OTHER``.  All matching downstream runs on the lemma column,
 which is lowercased here.
 
-Each format has two readers that accept the same lines and raise the
-same errors: a library reader that builds whole records, and a reader
-for ``score`` that keeps only what its route reads.
+Each format has exactly two readers that accept the same lines and
+raise the same errors: one reference reader that builds whole records,
+and one reader for ``score`` that keeps only what its route reads.
 
-* Tweets: ``parse_tweet_stream`` yields ``TweetRecord`` objects
-  (``sanity`` and the library path use it, with
-  ``passes_english_filter``).  ``_scan_tweets``, which
-  ``score --kind tweet`` uses, yields per record the author's first
-  name and the lemmas of each sentence, or ``None`` when the English
-  filter drops the record.
-* Documents: ``parse_document_records`` yields ``DocumentRecord``
-  objects.  ``_scan_vertical``, which ``score --kind document`` uses,
-  yields per record its id and, per sentence, the lemmas and the
-  positions of the pronouns and proper nouns, and parses each distinct
-  token line once per shard through a memo of bounded size.
+* Tweets: the reference reader ``parse_tweet_stream`` yields
+  ``TweetRecord`` objects (``sanity`` and the library path use it, with
+  ``passes_english_filter``).  The ``score --kind tweet`` reader,
+  ``_scan_tweets``, yields per record the author's first name and the
+  lemmas of each sentence, or ``None`` when the English filter drops
+  the record.
+* Documents: the reference reader ``parse_document_records`` yields
+  ``DocumentRecord`` objects.  The ``score --kind document`` reader,
+  ``_scan_vertical``, yields per record its id and, per sentence, the
+  lemmas and the positions of the pronouns and proper nouns, and parses
+  each distinct token line once per shard through a memo of bounded
+  size.  The two share no grouping code, so each checks the other.
 """
 
 from __future__ import annotations
@@ -190,43 +191,54 @@ def default_wordlist() -> frozenset[str]:
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
-def parse_document_stream(
-    lines: Iterable[str], tag_map: dict[str, str], path=None
-) -> Iterator[Sentence]:
-    """Stream sentences out of a vertical-format document file.
-
-    Yields sentences in file order.  ``#doc`` lines and blank lines are
-    structural; any other line must carry exactly three tab-separated
-    fields.
-    """
-    for _, sentence in _parse_vertical(lines, tag_map, path):
-        yield sentence
-
-
 def parse_document_records(
     lines: Iterable[str], tag_map: dict[str, str], path=None
 ) -> Iterator[DocumentRecord]:
-    """Group a vertical file's sentences into per-``#doc`` records.
+    """Stream a vertical file's sentences grouped into per-``#doc`` records.
 
-    Each sentence appearing before the first ``#doc`` line becomes a
-    record of its own, with ids ``autodoc1``, ``autodoc2``, ... in file
-    order.
+    ``#doc`` lines and blank lines are structural; any other line must
+    carry exactly three tab-separated fields.  Each sentence appearing
+    before the first ``#doc`` line becomes a record of its own, with ids
+    ``autodoc1``, ``autodoc2``, ... in file order.
     """
-    current_id: str | None = None
-    current: list[Sentence] = []
+    tag_of = tag_map.get
+    doc_id = record_id = None
+    sentences: list[Sentence] = []
+    surfaces, tags, lemmas = [], [], []
     auto = 0
-    for doc_id, sentence in _parse_vertical(lines, tag_map, path):
-        if doc_id is None:
-            auto += 1
-            doc_id = f"autodoc{auto}"
-        if doc_id != current_id:
-            if current:
-                yield DocumentRecord(record_id=current_id, sentences=tuple(current))
-            current_id = doc_id
-            current = []
-        current.append(sentence)
-    if current:
-        yield DocumentRecord(record_id=current_id, sentences=tuple(current))
+    # the blank line after the last one closes the last sentence
+    for line_no, raw in enumerate(itertools.chain(lines, ("",)), start=1):
+        line = raw.rstrip("\n")
+        # the prefix test keeps the regex off nearly every line
+        is_doc = line.startswith("#doc") and DOC_HEADER.match(line) is not None
+        if is_doc or not line.strip():
+            if surfaces:
+                if doc_id is None:
+                    auto += 1
+                    sentence_doc = f"autodoc{auto}"
+                else:
+                    sentence_doc = doc_id
+                if sentence_doc != record_id:
+                    if sentences:
+                        yield DocumentRecord(record_id=record_id, sentences=tuple(sentences))
+                    record_id, sentences = sentence_doc, []
+                sentences.append(Sentence(tuple(surfaces), tuple(tags), tuple(lemmas)))
+                surfaces, tags, lemmas = [], [], []
+            if is_doc:
+                doc_id = _doc_id(line, line_no, path)
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise _fields_error(parts, line_no, path)
+        surface, fine, lemma = parts
+        lemma = lemma.strip().lower()
+        if len(lemma.split()) != 1:  # empty, or whitespace inside
+            raise _fields_error(parts, line_no, path)
+        surfaces.append(surface)
+        tags.append(tag_of(fine, OTHER))
+        lemmas.append(lemma)
+    if sentences:
+        yield DocumentRecord(record_id=record_id, sentences=tuple(sentences))
 
 
 def _doc_id(header: str, line_no: int, path) -> str:
@@ -250,38 +262,6 @@ def _fields_error(parts: list[str], line_no: int, path) -> CorpusFormatError:
     return CorpusFormatError(
         f"bad lemma {lemma.strip().lower()!r} for surface {surface!r}", line_no=line_no, path=path
     )
-
-
-def _parse_vertical(lines, tag_map, path):
-    """Yield (doc_id, Sentence) pairs; doc_id is None before any #doc line."""
-    tag_of = tag_map.get
-    doc_id = pending_doc = None
-    surfaces, tags, lemmas = [], [], []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        # the prefix test keeps the regex off nearly every line
-        is_doc = line.startswith("#doc") and DOC_HEADER.match(line) is not None
-        if is_doc or not line.strip():
-            if surfaces:
-                yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
-                surfaces, tags, lemmas = [], [], []
-            if is_doc:
-                doc_id = _doc_id(line, line_no, path)
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise _fields_error(parts, line_no, path)
-        surface, fine, lemma = parts
-        lemma = lemma.strip().lower()
-        if len(lemma.split()) != 1:  # empty, or whitespace inside
-            raise _fields_error(parts, line_no, path)
-        if not surfaces:
-            pending_doc = doc_id
-        surfaces.append(surface)
-        tags.append(tag_of(fine, OTHER))
-        lemmas.append(lemma)
-    if surfaces:
-        yield pending_doc, Sentence(tuple(surfaces), tuple(tags), tuple(lemmas))
 
 
 def _scan_vertical(
@@ -353,14 +333,6 @@ def _scan_vertical(
             memo[raw] = token
     if sentences:
         yield record_id, sentences
-
-
-def format_sentence(sentence: Sentence) -> str:
-    """Serialize a sentence back to vertical format (coarse tags in the
-    POS column; re-parsing with a map that carries the identity entries
-    reproduces the sentence exactly)."""
-    columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
-    return "\n".join(f"{s}\t{p}\t{l}" for s, p, l in columns) + "\n"
 
 
 def _tweet_lines(
@@ -492,17 +464,6 @@ def _scan_tweets(
         if lemmas:
             sentences.append(lemmas)
         yield _first_name(author_name), sentences
-
-
-def format_tweet_record(record: TweetRecord) -> str:
-    """Serialize a record back to the one-line tweet format."""
-    chunks: list[str] = []
-    for i, sentence in enumerate(record.sentences):
-        if i:
-            chunks.append(SENTENCE_BREAK)
-        columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
-        chunks.extend(f"{s}|{p}|{l}" for s, p, l in columns)
-    return f"{record.record_id}\t{record.author_name}\t{' '.join(chunks)}\n"
 
 
 def passes_english_filter(record: TweetRecord, config: EnglishFilterConfig) -> bool:

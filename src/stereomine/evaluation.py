@@ -283,7 +283,7 @@ def evaluate_method(
 
 def sanity_proportions(
     records: Iterable[TweetRecord],
-    probes: Sequence[ActionPhrase | Sequence[str]],
+    probes: Sequence[Sequence[str]],
     lexicon: NameGenderLexicon,
     seed: int = 0,
 ) -> list[SanityRow]:
@@ -300,7 +300,7 @@ def sanity_proportions(
     probe_specs: list[tuple[str, tuple[str, ...]]] = []
     seen_texts: set[str] = set()
     for probe in probes:
-        lemmas = tuple(probe.lemmas) if isinstance(probe, ActionPhrase) else tuple(probe)
+        lemmas = tuple(probe)
         if not lemmas:
             raise ValueError("empty probe phrase")
         text = " ".join(lemmas)

@@ -231,20 +231,39 @@ def format_counts_table(
     )
 
 
+def _tallies(pid: str, m_s: str, f_s: str, seen, line_no: int, path) -> tuple[int, int]:
+    """The ``m`` and ``f`` fields of a counts or score table row, which
+    must be non-negative ints, in a row whose phrase_id is not in
+    ``seen``."""
+    try:
+        m, f = int(m_s), int(f_s)
+    except ValueError as exc:
+        raise CorpusFormatError(f"bad count: {exc}", line_no=line_no, path=path) from None
+    if m < 0 or f < 0:
+        raise CorpusFormatError(f"negative count {min(m, f)}", line_no=line_no, path=path)
+    if pid in seen:
+        raise CorpusFormatError(f"duplicate phrase_id {pid!r}", line_no=line_no, path=path)
+    return m, f
+
+
+def _finite(column: str, text: str, line_no: int, path) -> float:
+    """A float field of a score table, which must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise CorpusFormatError(f"bad {column} {text!r}", line_no=line_no, path=path) from None
+    if not math.isfinite(value):
+        raise CorpusFormatError(f"non-finite {column} {text!r}", line_no=line_no, path=path)
+    return value
+
+
 def parse_counts_table(
     lines: Iterable[str], path=None
 ) -> tuple[dict[str, GenderedCount], dict[str, str]]:
     counts: dict[str, GenderedCount] = {}
     texts: dict[str, str] = {}
     for line_no, (pid, text, m_s, f_s) in read_rows(lines, path, COUNTS_COLUMNS):
-        try:
-            m, f = int(m_s), int(f_s)
-        except ValueError as exc:
-            raise CorpusFormatError(f"bad count: {exc}", line_no=line_no, path=path) from None
-        if m < 0 or f < 0:
-            raise CorpusFormatError("negative count", line_no=line_no, path=path)
-        if pid in counts:
-            raise CorpusFormatError(f"duplicate phrase_id {pid!r}", line_no=line_no, path=path)
+        m, f = _tallies(pid, m_s, f_s, counts, line_no, path)
         counts[pid] = GenderedCount(phrase_id=pid, m=m, f=f)
         texts[pid] = text
     return counts, texts
@@ -272,16 +291,10 @@ def parse_score_table(
     scores: list[BiasScore] = []
     texts: dict[str, str] = {}
     for line_no, (pid, text, m_s, f_s, raw_s, s_s, z_s) in read_rows(lines, path, SCORE_COLUMNS):
-        try:
-            m, f = int(m_s), int(f_s)
-            raw, s = float(raw_s), float(s_s)
-            z = float(z_s) if z_s else None
-        except ValueError as exc:
-            raise CorpusFormatError(
-                f"bad numeric field: {exc}", line_no=line_no, path=path
-            ) from None
-        if pid in texts:
-            raise CorpusFormatError(f"duplicate phrase_id {pid!r}", line_no=line_no, path=path)
+        m, f = _tallies(pid, m_s, f_s, texts, line_no, path)
+        raw = _finite("raw", raw_s, line_no, path)
+        s = _finite("s", s_s, line_no, path)
+        z = _finite("z", z_s, line_no, path) if z_s else None
         scores.append(BiasScore(phrase_id=pid, m=m, f=f, raw=raw, s=s, z=z))
         texts[pid] = text
     return scores, texts

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from stereomine import cli
 from stereomine.cli import build_parser, main
 from stereomine.config import CONFIG_KEYS
 from stereomine.corpus_io import default_tag_map, parse_document_records, parse_tweet_stream
 from stereomine.errors import CorpusFormatError, open_text
-from stereomine.scoring import parse_counts_table, parse_score_table
+from stereomine.scoring import SCORE_COLUMNS, parse_counts_table, parse_score_table
 
 from util import read_manifest
 
@@ -190,8 +191,11 @@ def test_zero_match_corpus(tmp_path, lexdir, capsys):
     assert len(read(out / "tweet_scores.tsv").splitlines()) == 1
 
 
+@pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("kind", ["tweet", "document"])
-def test_empty_action_set(tmp_path, lexdir, capsys, kind):
+def test_empty_action_set(tmp_path, lexdir, capsys, monkeypatch, kind, count):
+    # forced shard counts: the shards' zero-length tallies still sum
+    monkeypatch.setattr(cli, "shard_count", lambda path: count)
     empty = tmp_path / "lex"
     empty.mkdir()
     for name in ("names_male.txt", "names_female.txt"):
@@ -315,6 +319,25 @@ def test_evaluate_rejects_a_repeated_phrase_id(tmp_path):
     assert rc == 1
     assert err.getvalue() == f"error: {table}:13: duplicate phrase_id 'c01'\n"
     assert not out.exists()
+
+
+def test_evaluate_rejects_a_negative_count_or_a_non_finite_score(tmp_path):
+    rows = read(EXPECTED / "tweet_scores.tsv").splitlines(True)
+    table = tmp_path / "tweet_scores.tsv"
+    out = tmp_path / "out"
+    for column, value, message in (("m", "-5", "negative count -5"), ("z", "nan", "non-finite z 'nan'")):
+        fields = rows[2].rstrip("\n").split("\t")
+        fields[SCORE_COLUMNS.index(column)] = value
+        table.write_text("".join(rows[:2] + ["\t".join(fields) + "\n"] + rows[3:]), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(
+                ["evaluate", "--config", CFG, "--output-dir", str(out),
+                 "--scores", str(table), "--gold", str(FIXTURES / "gold.tsv")]
+            )
+        assert rc == 1
+        assert err.getvalue() == f"error: {table}:3: {message}\n"
+        assert not out.exists()
 
 
 def test_evaluate_requires_exactly_one_gold_source(tmp_path):

@@ -15,20 +15,22 @@ from stereomine.corpus_io import (
     _scan_vertical,
     default_tag_map,
     default_wordlist,
-    format_sentence,
-    format_tweet_record,
     load_wordlist,
     parse_document_records,
-    parse_document_stream,
     parse_tag_map,
     parse_tweet_stream,
     passes_english_filter,
 )
 from stereomine.errors import ConfigError, CorpusFormatError
 
-from util import sent
+from util import format_sentence, format_tweet_record, sent
 
 TAG_MAP = default_tag_map()
+
+
+def vertical_sentences(lines, tag_map):
+    """Every sentence of a vertical file, in file order."""
+    return [s for record in parse_document_records(lines, tag_map) for s in record.sentences]
 
 
 # --- tokens and tags -------------------------------------------------------
@@ -49,7 +51,7 @@ def test_token_rejects_fine_pos():
 
 def test_default_tag_map_covers_the_usual_suspects(tag_map):
     fine = ["VV", "VBD", "PP", "PRP$", "NP", "NNPS", "MD", "XYZZY"]
-    (sentence,) = parse_document_stream([f"w\t{t}\tw" for t in fine], tag_map)
+    (sentence,) = vertical_sentences([f"w\t{t}\tw" for t in fine], tag_map)
     # modals deliberately stay OTHER; unknown tags fall back to OTHER
     assert sentence.tags == (VERB, VERB, PRONOUN, PRONOUN, PROPER_NOUN, PROPER_NOUN, OTHER, OTHER)
 
@@ -80,7 +82,7 @@ def test_parse_tag_map_rejects_empty():
 
 def test_small_vertical_sentences(fixtures, tag_map):
     with open(fixtures / "small.vert", encoding="utf-8") as fh:
-        sentences = list(parse_document_stream(fh, tag_map))
+        sentences = vertical_sentences(fh, tag_map)
     assert [len(s.lemmas()) for s in sentences] == [4, 5, 3]
     first = sentences[0]
     assert (first.surfaces[1], first.lemmata[1], first.tags[1]) == ("schools", "school", OTHER)
@@ -91,7 +93,7 @@ def test_small_vertical_sentences(fixtures, tag_map):
 
 def test_lemmas_are_lowercased(tag_map):
     lines = ["Mary\tNP\tMary", "RUNS\tVVZ\tRUN"]
-    (sentence,) = parse_document_stream(lines, tag_map)
+    (sentence,) = vertical_sentences(lines, tag_map)
     assert sentence.lemmas() == ("mary", "run")
 
 
@@ -108,7 +110,7 @@ def test_document_records_implicit_id(tag_map):
 
 def test_doc_line_without_id_fails(tag_map):
     with pytest.raises(CorpusFormatError):
-        list(parse_document_stream(["#doc   ", "a\tNN\ta"], tag_map))
+        list(parse_document_records(["#doc   ", "a\tNN\ta"], tag_map))
 
 
 def test_doc_header_is_doc_then_whitespace_or_end_of_line(tag_map):
@@ -124,7 +126,7 @@ def test_doc_header_is_doc_then_whitespace_or_end_of_line(tag_map):
 
 def test_vertical_bad_arity_reports_location(tag_map):
     with pytest.raises(CorpusFormatError) as exc:
-        list(parse_document_stream(["ok\tNN\tok", "broken line"], tag_map, path="d.vert"))
+        list(parse_document_records(["ok\tNN\tok", "broken line"], tag_map, path="d.vert"))
     assert "d.vert:2:" in str(exc.value)
 
 
@@ -132,8 +134,8 @@ def test_vertical_bad_arity_reports_location(tag_map):
     "parse, lines, lemma",
     [
         (parse_tweet_stream, ["t0\tA\tok|NN|ok", "t1\tA\tx|NN|"], ""),
-        (parse_document_stream, ["ok\tNN\tok", "x\tNN\t  "], ""),
-        (parse_document_stream, ["ok\tNN\tok", "x\tNN\ta\u2003b"], "a\u2003b"),
+        (parse_document_records, ["ok\tNN\tok", "x\tNN\t  "], ""),
+        (parse_document_records, ["ok\tNN\tok", "x\tNN\ta\u2003b"], "a\u2003b"),
     ],
     ids=["tweet-empty", "vertical-blank", "vertical-unicode-space"],
 )
@@ -146,9 +148,7 @@ def test_parsers_reject_bad_lemma(tag_map, parse, lines, lemma):
 def test_vertical_round_trip(doc_records, tag_map):
     for record in doc_records:
         for sentence in record.sentences:
-            (again,) = parse_document_stream(
-                io.StringIO(format_sentence(sentence)), tag_map
-            )
+            (again,) = vertical_sentences(io.StringIO(format_sentence(sentence)), tag_map)
             assert again == sentence
 
 

@@ -11,6 +11,7 @@ from stereomine.errors import CorpusFormatError, DegenerateDataError
 from stereomine.lexicons import Gender
 from stereomine.matcher import find_matches
 from stereomine.scoring import (
+    SCORE_COLUMNS,
     BiasScore,
     GenderedCount,
     ScoringContext,
@@ -329,8 +330,8 @@ def test_score_table_rejects_duplicates():
 
 
 def test_counts_table_rejects_negative_and_garbage():
-    with pytest.raises(CorpusFormatError):
-        parse_counts_table(io.StringIO("a\tx\t-1\t0\n"))
+    with pytest.raises(CorpusFormatError, match=r"^c\.tsv:1: negative count -1$"):
+        parse_counts_table(io.StringIO("a\tx\t-1\t0\n"), path="c.tsv")
     with pytest.raises(CorpusFormatError):
         parse_counts_table(io.StringIO("a\tx\tone\t0\n"))
     with pytest.raises(CorpusFormatError):
@@ -368,6 +369,21 @@ def test_score_table_rejects_bad_rows():
         parse_score_table(io.StringIO("a\tx\t1\t2\t0.5\n"))
     with pytest.raises(CorpusFormatError):
         parse_score_table(io.StringIO("a\tx\t1\t2\t0.5\tNaNish\t\n"))
+    # counts follow the counts table's rule, and every float must be finite
+    good = ["a", "x", "1", "2", "0.5", "0.1", "0.2"]
+    for column, value, message in [
+        ("m", "-1", "negative count -1"),
+        ("f", "-1", "negative count -1"),
+        ("raw", "nan", "non-finite raw 'nan'"),
+        ("s", "inf", "non-finite s 'inf'"),
+        ("z", "-inf", "non-finite z '-inf'"),
+        ("z", "1e999", "non-finite z '1e999'"),
+    ]:
+        row = list(good)
+        row[SCORE_COLUMNS.index(column)] = value
+        with pytest.raises(CorpusFormatError) as exc:
+            parse_score_table(io.StringIO("# h\n" + "\t".join(row) + "\n"), path="s.tsv")
+        assert str(exc.value) == f"s.tsv:2: {message}"
 
 
 # --- random cross-check against the oracle's z pipeline ----------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from stereomine.corpus_io import OTHER, AnnotatedToken, Sentence
+from stereomine.corpus_io import OTHER, SENTENCE_BREAK, AnnotatedToken, Sentence, TweetRecord
 from stereomine.lexicons import ActionPhrase
 from stereomine.matcher import brute_force_matches
 
@@ -42,6 +42,25 @@ def brute_all(sentence: Sentence, phrases) -> list:
         out.extend(brute_force_matches(sentence, p))
     out.sort(key=lambda m: (m.start, m.phrase_id, m.end))
     return out
+
+
+def format_sentence(sentence: Sentence) -> str:
+    """Serialize a sentence back to vertical format (coarse tags in the
+    POS column; re-parsing with a map that carries the identity entries
+    reproduces the sentence exactly)."""
+    columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
+    return "\n".join(f"{s}\t{p}\t{l}" for s, p, l in columns) + "\n"
+
+
+def format_tweet_record(record: TweetRecord) -> str:
+    """Serialize a record back to the one-line tweet format."""
+    chunks: list[str] = []
+    for i, sentence in enumerate(record.sentences):
+        if i:
+            chunks.append(SENTENCE_BREAK)
+        columns = zip(sentence.surfaces, sentence.tags, sentence.lemmata)
+        chunks.extend(f"{s}|{p}|{l}" for s, p, l in columns)
+    return f"{record.record_id}\t{record.author_name}\t{' '.join(chunks)}\n"
 
 
 def read_manifest(path) -> dict[str, str]:
