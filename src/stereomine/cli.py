@@ -26,13 +26,13 @@ from .config import CONFIG_KEYS, RunConfig, load_config, strip_comment
 from .corpus_io import (
     DOC_HEADER_CUT,
     EnglishFilterConfig,
+    _first_name,
     _scan_tweets,
     _scan_vertical,
     default_tag_map,
     default_wordlist,
     load_tag_map,
     load_wordlist,
-    parse_tweet_stream,
 )
 from .errors import ConfigError, CorpusFormatError, DegenerateDataError, format_rows, open_text
 from .evaluation import (
@@ -104,19 +104,23 @@ def _manifest(pairs: list[tuple[str, object]]) -> str:
     return "".join(f"{key}\t{value}\n" for key, value in pairs)
 
 
-def _check_optional_paths(config: RunConfig, *keys: str) -> None:
-    for key in keys:
-        value = getattr(config, key)
-        if value is not None and not value.is_file():
-            raise ConfigError(f"{key}: no such file: {value}")
+def _optional_file(config: RunConfig, key: str, load, default):
+    """``load`` of the file that config ``key`` names, or ``default()``
+    when it names none."""
+    path = getattr(config, key)
+    if path is None:
+        return default()
+    if not path.is_file():
+        raise ConfigError(f"{key}: no such file: {path}")
+    return load(path)
 
 
 def _tag_map(config: RunConfig) -> dict[str, str]:
-    return load_tag_map(config.tag_map) if config.tag_map else default_tag_map()
+    return _optional_file(config, "tag_map", load_tag_map, default_tag_map)
 
 
 def _wordlist(config: RunConfig) -> frozenset[str]:
-    return load_wordlist(config.wordlist) if config.wordlist else default_wordlist()
+    return _optional_file(config, "wordlist", load_wordlist, default_wordlist)
 
 
 def _load_actions(path: Path) -> list[ActionPhrase]:
@@ -131,7 +135,6 @@ def _load_actions(path: Path) -> list[ActionPhrase]:
 
 def cmd_build_lexicons(config: RunConfig) -> int:
     config.require("concepts", "tag_counts", "male_names", "female_names")
-    _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
 
     raw_male = read_name_list(config.male_names)
@@ -184,7 +187,6 @@ def _score_tweets(config: RunConfig, automaton, canon: list[int], size: int, lex
     automaton phrase to one of ``size`` indexes), manifest counters and
     the record ids it saw."""
     config.require("tweet_corpus")
-    _check_optional_paths(config, "tag_map", "wordlist")
     _tag_map(config)  # the route reads no tags, but a malformed map still fails the run
     english = EnglishFilterConfig(
         wordlist=_wordlist(config), max_nonenglish_ratio=config.max_nonenglish_ratio
@@ -202,8 +204,8 @@ def _score_tweets(config: RunConfig, automaton, canon: list[int], size: int, lex
             if record is None:
                 filtered += 1
                 continue
-            first_name, sentences = record
-            gender = guess_gender(first_name, lexicon)
+            author_name, sentences = record
+            gender = guess_gender(_first_name(author_name), lexicon)
             if gender is Gender.UNKNOWN:
                 author_unknown += 1
             tally = m if gender is Gender.MALE else f
@@ -235,7 +237,6 @@ def _score_documents(config: RunConfig, automaton, canon: list[int], size: int, 
     """As ``_score_tweets`` for the document corpus; a vertical file is
     cut only before a ``#doc`` header, so a document stays in one shard."""
     config.require("document_corpus")
-    _check_optional_paths(config, "tag_map")
     tag_map = _tag_map(config)
     pronouns = EXTENDED_PRONOUNS if config.extended_pronouns else DEFAULT_PRONOUNS
     path = str(config.document_corpus)
@@ -466,7 +467,7 @@ def _load_probes(path: Path) -> list[tuple[str, ...]]:
 
 def cmd_sanity(config: RunConfig, probes_path: Path) -> int:
     config.require("tweet_corpus", "male_names", "female_names")
-    _check_optional_paths(config, "tag_map")
+    _tag_map(config)  # no tags are read, but a malformed map still fails the run
     if not probes_path.is_file():
         raise ConfigError(f"no such file: {probes_path}")
     probes = _load_probes(probes_path)
@@ -474,12 +475,12 @@ def cmd_sanity(config: RunConfig, probes_path: Path) -> int:
         raise ConfigError(f"probes file {probes_path} is empty")
 
     lexicon = load_name_lexicon(config.male_names, config.female_names)
-    tag_map = _tag_map(config)
     with open_text(config.tweet_corpus) as fh:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows = sanity_proportions(
-                parse_tweet_stream(fh, tag_map, path=str(config.tweet_corpus)),
+                # no English filter: every record of a gendered author counts
+                _scan_tweets(fh, None, set(), path=str(config.tweet_corpus)),
                 probes,
                 lexicon,
                 seed=config.seed,

@@ -17,14 +17,14 @@ which is lowercased here.
 
 Each format has exactly two readers that accept the same lines and
 raise the same errors: one reference reader that builds whole records,
-and one reader for ``score`` that keeps only what its route reads.
+and one reader that the commands use, which keeps only what they read.
 
 * Tweets: the reference reader ``parse_tweet_stream`` yields
-  ``TweetRecord`` objects (``sanity`` and the library path use it, with
-  ``passes_english_filter``).  The ``score --kind tweet`` reader,
-  ``_scan_tweets``, yields per record the author's first name and the
-  lemmas of each sentence, or ``None`` when the English filter drops
-  the record.
+  ``TweetRecord`` objects (checked with ``passes_english_filter``).
+  ``score --kind tweet`` and ``sanity`` both read through
+  ``_scan_tweets``, which yields per record the verbatim author field
+  and the lemmas of each sentence, or ``None`` when the English filter
+  drops the record; ``sanity`` reads with no filter.
 * Documents: the reference reader ``parse_document_records`` yields
   ``DocumentRecord`` objects.  The ``score --kind document`` reader,
   ``_scan_vertical``, yields per record its id and, per sentence, the
@@ -424,19 +424,23 @@ def parse_tweet_stream(
 
 
 def _scan_tweets(
-    lines: Iterable[str], english: EnglishFilterConfig, ids: set[str], path=None
+    lines: Iterable[str], english: EnglishFilterConfig | None, ids: set[str], path=None
 ) -> Iterator[tuple[str, list[list[str]]] | None]:
-    """The tweet route of ``score`` in one pass over each record's tokens.
+    """The tweet corpus in one pass over each record's tokens.
 
-    Per record, yields ``(author_first_name, [lowercased lemmas per
-    sentence])``, or ``None`` if the record fails the English filter.
-    It accepts and rejects exactly what ``parse_tweet_stream`` does, with
-    the same errors, and adds every record id to ``ids``.  No tags,
-    ``Sentence`` or ``TweetRecord`` are built, and the token loop stays
-    inline: a call or an object per token costs more than the work.
+    Per record, yields ``(author_name, [lowercased lemmas per
+    sentence])`` with the verbatim author field, or ``None`` if the
+    record fails the English filter; with ``english=None`` every record
+    is kept.  It accepts and rejects exactly what ``parse_tweet_stream``
+    does, with the same errors, and adds every record id to ``ids``.  No
+    tags, ``Sentence`` or ``TweetRecord`` are built, and the token loop
+    stays inline: a call or an object per token costs more than the work.
     """
-    wordlist = english.wordlist
-    max_ratio = english.max_nonenglish_ratio
+    if english is None:
+        # no word is English, but no share of unknown words exceeds 1
+        wordlist, max_ratio = frozenset(), 1.0
+    else:
+        wordlist, max_ratio = english.wordlist, english.max_nonenglish_ratio
     for line_no, _, author_name, text in _tweet_lines(lines, ids, path):
         sentences: list[list[str]] = []
         lemmas: list[str] = []
@@ -463,7 +467,7 @@ def _scan_tweets(
             continue
         if lemmas:
             sentences.append(lemmas)
-        yield _first_name(author_name), sentences
+        yield author_name, sentences
 
 
 def passes_english_filter(record: TweetRecord, config: EnglishFilterConfig) -> bool:

@@ -20,10 +20,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus_io import TweetRecord
+from .corpus_io import _first_name
 from .errors import CorpusFormatError, DegenerateDataError, format_rows, open_text, read_rows
 from .lexicons import ActionPhrase, Gender, NameGenderLexicon, guess_gender
-from .matcher import compile_phrases, find_matches
+from .matcher import _match_ids, compile_phrases
 
 MEANINGLESS = "X"
 MIN_RATERS = 5
@@ -282,20 +282,21 @@ def evaluate_method(
 
 
 def sanity_proportions(
-    records: Iterable[TweetRecord],
+    records: Iterable[tuple[str, Sequence[Sequence[str]]]],
     probes: Sequence[Sequence[str]],
     lexicon: NameGenderLexicon,
     seed: int = 0,
 ) -> list[SanityRow]:
     """Per-probe share of male vs female users mentioning the probe.
 
-    Users are keyed by the verbatim author-name field and gendered by
-    first name; the sample is balanced by keeping every user of the
-    minority gender plus a seeded uniform subsample of the majority of
-    equal size.  A user mentions a probe when any of their records
-    matches it (same gap-tolerant matching as scoring; single-lemma
-    probes reduce to lemma presence).  Probes nobody in the sample
-    mentions are dropped with a warning.
+    Each record is ``(author_name, [lemmas per sentence])``, as
+    ``corpus_io._scan_tweets`` yields it.  Users are keyed by the
+    verbatim author-name field and gendered by first name; the sample is
+    balanced by keeping every user of the minority gender plus a seeded
+    uniform subsample of the majority of equal size.  A user mentions a
+    probe when any of their records matches it (same gap-tolerant
+    matching as scoring; single-lemma probes reduce to lemma presence).
+    Probes nobody in the sample mentions are dropped with a warning.
     """
     probe_specs: list[tuple[str, tuple[str, ...]]] = []
     seen_texts: set[str] = set()
@@ -313,25 +314,24 @@ def sanity_proportions(
         if len(lemmas) >= 2
     ]
     automaton = compile_phrases(multi)
+    texts = [phrase.source_id for phrase in multi]  # the probe text of each phrase index
     singles = [(text, lemmas[0]) for text, lemmas in probe_specs if len(lemmas) == 1]
 
     genders: dict[str, Gender] = {}
-    mentions: dict[str, set[str]] = {}
-    for record in records:
-        gender = guess_gender(record.author_first_name, lexicon)
+    mentions: dict[str, set[str]] = {}  # only users who mention a probe
+    for user, sentences in records:
+        gender = guess_gender(_first_name(user), lexicon)
         if gender is Gender.UNKNOWN:
             continue
-        user = record.author_name
         genders[user] = gender
-        hit = mentions.setdefault(user, set())
-        for sentence in record.sentences:
-            for match in find_matches(sentence, automaton):
-                hit.add(match.phrase_id)
-            if singles:
-                lemma_set = set(sentence.lemmas())
-                for text, lemma in singles:
-                    if lemma in lemma_set:
-                        hit.add(text)
+        hit = {
+            texts[pidx] for lemmas in sentences for pidx, _, _ in _match_ids(automaton, lemmas)
+        }
+        if singles:
+            present = {lemma for lemmas in sentences for lemma in lemmas}
+            hit.update(text for text, lemma in singles if lemma in present)
+        if hit:
+            mentions.setdefault(user, set()).update(hit)
 
     males = sorted(u for u, g in genders.items() if g is Gender.MALE)
     females = sorted(u for u, g in genders.items() if g is Gender.FEMALE)
@@ -347,10 +347,12 @@ def sanity_proportions(
         sampled_f = set(females)
         sampled_m = set(rng.sample(males, len(females)))
 
+    male_users = Counter(text for u in sampled_m for text in mentions.get(u, ()))
+    female_users = Counter(text for u in sampled_f for text in mentions.get(u, ()))
     rows: list[SanityRow] = []
     for text, _ in probe_specs:
-        male_n = sum(1 for u in sampled_m if text in mentions[u])
-        female_n = sum(1 for u in sampled_f if text in mentions[u])
+        male_n = male_users[text]
+        female_n = female_users[text]
         total = male_n + female_n
         if total == 0:
             warnings.warn(

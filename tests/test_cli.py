@@ -43,6 +43,10 @@ def score_args(kind, out, lexdir, *extra):
     ]
 
 
+def sanity_args(out, probes=FIXTURES / "probes.txt", *extra):
+    return ["sanity", "--config", CFG, "--output-dir", str(out), "--probes", str(probes), *extra]
+
+
 # --- build-lexicons -----------------------------------------------------------
 
 
@@ -414,6 +418,23 @@ def test_sanity_unmentioned_probe_warns(tmp_path, capsys):
     assert manifest["probes_omitted"] == "1"
 
 
+def test_sanity_counts_a_non_english_tweet(tmp_path, lexdir):
+    """``score`` drops a tweet that fails the English filter; ``sanity``
+    reads every record, so the tweet's male author mentions its probe."""
+    corpus = tmp_path / "tweets.tsv"
+    tweet = "t11\tJohn Q\tzzkx|NN|zzkx qqch|NN|qqch vraiment|RB|vraiment zzro|NN|zzro\n"
+    corpus.write_text(read(FIXTURES / "tweets.tsv") + tweet, encoding="utf-8")
+    scored = tmp_path / "score"
+    assert main(score_args("tweet", scored, lexdir, "--tweet-corpus", str(corpus))) == 0
+    manifest = read_manifest(scored / "tweet_manifest.tsv")
+    assert manifest["records_failed_english_filter"] == "2"  # t10 and t11
+    probes = tmp_path / "p.txt"
+    probes.write_text("qqch vraiment\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(sanity_args(out, probes, "--tweet-corpus", str(corpus))) == 0
+    assert read(out / "sanity.tsv").splitlines()[2:] == ["qqch vraiment\t100.0\t0.0"]
+
+
 def test_sanity_empty_probes(tmp_path):
     probes = tmp_path / "p.txt"
     probes.write_text("# nothing\n", encoding="utf-8")
@@ -464,20 +485,30 @@ TWEET_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", sorted(TWEET_FAULTS))
-def test_tweet_score_reports_the_parsers_error(tmp_path, lexdir, capsys, fault):
-    """``score --kind tweet`` fails with the error ``parse_tweet_stream``
-    raises on the same file, at the same line."""
+def check_reports_the_parsers_error(args, tmp_path, capsys, fault):
+    """A run of ``args`` (which write to ``tmp_path / "out"``) fails with
+    the error ``parse_tweet_stream`` raises on the same file, at the same
+    line."""
     first, *rest = read(FIXTURES / "tweets.tsv").splitlines(keepends=True)
     corpus = tmp_path / "faulty.tsv"
     corpus.write_text("".join([first, "\n", TWEET_FAULTS[fault] + "\n", *rest]), encoding="utf-8")
     with pytest.raises(CorpusFormatError) as parsed, open_text(corpus) as fh:
         list(parse_tweet_stream(fh, default_tag_map(), path=str(corpus)))
     assert str(parsed.value).startswith(f"{corpus}:3: ")
-    out = tmp_path / "out"
-    assert main(score_args("tweet", out, lexdir, "--tweet-corpus", str(corpus))) == 1
+    assert main([*args, "--tweet-corpus", str(corpus)]) == 1
     assert capsys.readouterr().err == f"error: {parsed.value}\n"
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fault", sorted(TWEET_FAULTS))
+def test_tweet_score_reports_the_parsers_error(tmp_path, lexdir, capsys, fault):
+    args = score_args("tweet", tmp_path / "out", lexdir)
+    check_reports_the_parsers_error(args, tmp_path, capsys, fault)
+
+
+@pytest.mark.parametrize("fault", sorted(TWEET_FAULTS))
+def test_sanity_reports_the_parsers_error(tmp_path, capsys, fault):
+    check_reports_the_parsers_error(sanity_args(tmp_path / "out"), tmp_path, capsys, fault)
 
 
 # each fault line goes third, after a header and a token line
@@ -507,14 +538,22 @@ def test_document_score_reports_the_parsers_error(tmp_path, lexdir, capsys, faul
     assert not out.exists()
 
 
-def test_tweet_score_still_reads_the_tag_map(tmp_path, lexdir, capsys):
-    """The tweet route uses no tags, but a malformed tag map fails it."""
+def check_still_reads_the_tag_map(args, tmp_path, capsys):
+    """The tweet reader uses no tags, but a malformed tag map fails a run
+    of ``args`` (which write to ``tmp_path / "out"``)."""
     tag_map = tmp_path / "tags.tsv"
     tag_map.write_text("VV\tVERB\nNN\tNOUN\n", encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(score_args("tweet", out, lexdir, "--tag-map", str(tag_map))) == 1
+    assert main([*args, "--tag-map", str(tag_map)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {tag_map}:2: unknown coarse tag 'NOUN'")
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_tweet_score_still_reads_the_tag_map(tmp_path, lexdir, capsys):
+    check_still_reads_the_tag_map(score_args("tweet", tmp_path / "out", lexdir), tmp_path, capsys)
+
+
+def test_sanity_still_reads_the_tag_map(tmp_path, capsys):
+    check_still_reads_the_tag_map(sanity_args(tmp_path / "out"), tmp_path, capsys)
 
 
 @pytest.mark.parametrize(

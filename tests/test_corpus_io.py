@@ -293,16 +293,17 @@ SCAN_NAMES = ["Mary Jane", " mary", "", "\u0130lke B"]
         max_size=6,
     ),
     blank=st.sampled_from(["", " ", "\t"]),
-    ratio=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    ratio=st.sampled_from([None, 0.0, 0.2, 0.5, 1.0]),
 )
 def test_scan_tweets_agrees_with_parse_and_filter(records, blank, ratio):
     """``_scan_tweets`` yields what ``parse_tweet_stream`` and
-    ``passes_english_filter`` make of the same lines, stops at the same
-    error, and collects the ids of the records it read."""
+    ``passes_english_filter`` make of the same lines (every record when
+    it is given no filter), stops at the same error, and collects the
+    ids of the records it read."""
     lines = []
     for record_id, name, tokens, extra in records:
         lines += [f"{record_id}\t{name}\t{' '.join(tokens)}{extra}\n", blank + "\n"]
-    config = EnglishFilterConfig(wordlist=WORDS, max_nonenglish_ratio=ratio)
+    config = None if ratio is None else EnglishFilterConfig(WORDS, ratio)
 
     def read(stream):
         out = []
@@ -317,8 +318,8 @@ def test_scan_tweets_agrees_with_parse_and_filter(records, blank, ratio):
     scanned, scan_error = read(_scan_tweets(lines, config, ids, path="tw.tsv"))
     assert scan_error == parse_error
     assert scanned == [
-        (r.author_first_name, [list(s.lemmata) for s in r.sentences])
-        if passes_english_filter(r, config)
+        (r.author_name, [list(s.lemmata) for s in r.sentences])
+        if config is None or passes_english_filter(r, config)
         else None
         for r in parsed
     ]

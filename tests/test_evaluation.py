@@ -369,8 +369,15 @@ def test_scatter_matches_frozen_fixture(fixtures, expected):
 PROBES = [("make", "money"), ("go", "bed"), ("feel", "good"), ("buy", "cheese")]
 
 
-def test_sanity_fixture_rows(tweet_records, name_lexicon):
-    rows = sanity_proportions(tweet_records, PROBES, name_lexicon, seed=0)
+@pytest.fixture(scope="module")
+def tweet_users(tweet_records):
+    """The fixture tweets as ``(author_name, [lemmas per sentence])``
+    records, the shape ``sanity_proportions`` reads."""
+    return [(r.author_name, [list(s.lemmata) for s in r.sentences]) for r in tweet_records]
+
+
+def test_sanity_fixture_rows(tweet_users, name_lexicon):
+    rows = sanity_proportions(tweet_users, PROBES, name_lexicon, seed=0)
     flat = [(r.phrase_text, r.male_users, r.female_users) for r in rows]
     assert flat == [
         ("make money", 2, 1),
@@ -384,59 +391,59 @@ def test_sanity_fixture_rows(tweet_records, name_lexicon):
         assert row.male_pct + row.female_pct == 100.0
 
 
-def test_sanity_matches_independent_oracle(tweet_records, name_lexicon):
-    rows = sanity_proportions(tweet_records, PROBES, name_lexicon, seed=0)
+def test_sanity_matches_independent_oracle(tweet_users, name_lexicon):
+    rows = sanity_proportions(tweet_users, PROBES, name_lexicon, seed=0)
     reference = oracle.sanity_oracle(0)
     assert [(r.phrase_text, r.male_users, r.female_users) for r in rows] == [
         (text, mn, fn) for text, mn, fn, _, _ in reference
     ]
 
 
-def test_sanity_table_bytes(tweet_records, name_lexicon, expected):
-    rows = sanity_proportions(tweet_records, PROBES, name_lexicon, seed=0)
+def test_sanity_table_bytes(tweet_users, name_lexicon, expected):
+    rows = sanity_proportions(tweet_users, PROBES, name_lexicon, seed=0)
     assert format_sanity_table(rows, seed=0) == (expected / "sanity.tsv").read_text(
         encoding="utf-8"
     )
 
 
-def test_sanity_is_deterministic(tweet_records, name_lexicon):
-    a = sanity_proportions(tweet_records, PROBES, name_lexicon, seed=3)
-    b = sanity_proportions(tweet_records, PROBES, name_lexicon, seed=3)
+def test_sanity_is_deterministic(tweet_users, name_lexicon):
+    a = sanity_proportions(tweet_users, PROBES, name_lexicon, seed=3)
+    b = sanity_proportions(tweet_users, PROBES, name_lexicon, seed=3)
     assert a == b
 
 
-def test_sanity_single_lemma_probe(tweet_records, name_lexicon):
+def test_sanity_single_lemma_probe(tweet_users, name_lexicon):
     # lemma presence, no bigram needed: David and Jack both say "problem"
     # and Sarah, the one sampled-out female who does, is not drawn at seed 0
-    (row,) = sanity_proportions(tweet_records, [("problem",)], name_lexicon, seed=0)
+    (row,) = sanity_proportions(tweet_users, [("problem",)], name_lexicon, seed=0)
     assert (row.male_users, row.female_users) == (2, 0)
     assert (row.male_pct, row.female_pct) == (100.0, 0.0)
 
 
-def test_sanity_unmentioned_probe_warns(tweet_records, name_lexicon):
+def test_sanity_unmentioned_probe_warns(tweet_users, name_lexicon):
     with pytest.warns(RuntimeWarning, match="take note"):
         rows = sanity_proportions(
-            tweet_records, PROBES + [("take", "note")], name_lexicon, seed=0
+            tweet_users, PROBES + [("take", "note")], name_lexicon, seed=0
         )
     assert [r.phrase_text for r in rows] == [" ".join(p) for p in PROBES]
 
 
-def test_sanity_duplicate_probes_collapse(tweet_records, name_lexicon):
+def test_sanity_duplicate_probes_collapse(tweet_users, name_lexicon):
     rows = sanity_proportions(
-        tweet_records, [("go", "bed"), ("go", "bed")], name_lexicon, seed=0
+        tweet_users, [("go", "bed"), ("go", "bed")], name_lexicon, seed=0
     )
     assert len(rows) == 1
 
 
-def test_sanity_needs_both_genders(tweet_records):
+def test_sanity_needs_both_genders(tweet_users):
     lexicon = NameGenderLexicon(male_names=frozenset(), female_names=frozenset({"mary"}))
     with pytest.raises(DegenerateDataError):
-        sanity_proportions(tweet_records, PROBES, lexicon, seed=0)
+        sanity_proportions(tweet_users, PROBES, lexicon, seed=0)
 
 
-def test_sanity_rejects_empty_probe(tweet_records, name_lexicon):
+def test_sanity_rejects_empty_probe(tweet_users, name_lexicon):
     with pytest.raises(ValueError):
-        sanity_proportions(tweet_records, [()], name_lexicon, seed=0)
+        sanity_proportions(tweet_users, [()], name_lexicon, seed=0)
 
 
 def test_sanity_row_is_plain_data():
